@@ -30,6 +30,7 @@ from .conformance import (
     check_tbc,
     export_aut,
     parse_aut,
+    saturate_pair,
     AutSyntaxError,
 )
 from .model import Choreography, Collaboration
@@ -250,11 +251,12 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
+    choreo_weak, collab_weak = saturate_pair(choreo_lts, collab_lts, hidden)
     results = []
     if args.relation in ("tbc", "both"):
-        results.append(check_tbc(choreo_lts, collab_lts, hidden))
+        results.append(check_tbc(choreo_weak, collab_weak))
     if args.relation in ("bbc", "both"):
-        results.append(check_bbc(choreo_lts, collab_lts, hidden))
+        results.append(check_bbc(choreo_weak, collab_weak))
     for result in results:
         _print_verdict(result, args.report)
     return 0 if all(r.verdict for r in results) else 4

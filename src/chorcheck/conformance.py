@@ -13,6 +13,12 @@ Two relations are decided, both insensitive to silent moves:
   product state with differing enabled-label sets yields a shortest
   distinguishing trace.
 
+Both work on one weak layer per side (`WeakLts`, shared via `saturate_pair`):
+the silent graph condensed into strongly connected components, closures as
+int bitsets, and each visible transition with the closure of its target.
+Weak successor sets are never built in full; both checkers form unions of
+these bitsets as they go.
+
 Extra collaboration labels are expected to be hidden (relabelled to tau) by
 the caller before or via the `hidden` argument, so the checkers also work on
 transition systems read back from `.aut` files.
@@ -24,7 +30,7 @@ import re
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .model import TAU, Comm, Label, label_key
 from .semantics import Lts, hide
@@ -34,51 +40,110 @@ from .semantics import Lts, hide
 # Weak transition structure
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _tau_sccs(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Strongly connected components by Tarjan's algorithm, without recursion.
+
+    Returns the component number of every node and the number of components.
+    Components are numbered sinks first: every edge leaving a component
+    points to one with a smaller number.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while unassigned: a visited node is then on `stack`
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter = counter + 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:
+                    index[w] = low[w] = counter = counter + 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = n_comp
+                    n_comp += 1
+    return comp, n_comp
+
+
 class WeakLts:
     """An LTS enriched with its silent closure and weak visible steps.
 
     `closure(s)` is the set of states reachable from s by zero or more silent
     transitions.  `weak_succ(s, l)` is the set of states reachable by silent
     moves, one l-transition, then silent moves again.
+
+    Sets of states are stored as int bitsets and decoded on demand.
+    `_comp[s]` is the silent strongly connected component of s, and
+    `_below[c]` the other components c has a silent transition into.
+    `_cl[s]` is the closure of s.  `_strong[l]` maps each state x with an
+    outgoing l-transition to its l-targets, `_src[l]` is the bitset of those
+    states, and `_step[l][x]` the closure of x's l-targets.
     """
 
     def __init__(self, lts: Lts):
         self.lts = lts
         n = lts.n_states
-        tau_adj = [[] for _ in range(n)]
-        strong = {}
+        tau_adj: list[list[int]] = [[] for _ in range(n)]
+        strong: dict[Comm, dict[int, list[int]]] = {}
         for src, label, tgt in lts.transitions:
             if label == TAU:
                 tau_adj[src].append(tgt)
             else:
-                strong.setdefault(label, [[] for _ in range(n)])[src].append(tgt)
-        self._closure = [self._reach(s, tau_adj) for s in range(n)]
+                strong.setdefault(label, {}).setdefault(src, []).append(tgt)
+        self._comp, n_comp = _tau_sccs(tau_adj)
+        below: list[set[int]] = [set() for _ in range(n_comp)]
+        for s, targets in enumerate(tau_adj):
+            below[self._comp[s]].update(self._comp[t] for t in targets)
+        self._below = [b - {c} for c, b in enumerate(below)]
+        self._cl = self._over_closure([1 << s for s in range(n)])
         self.alphabet = frozenset(strong)
-        self._weak = {}
+        self._strong = strong
+        self._src = {l: sum(1 << x for x in adj) for l, adj in strong.items()}
+        self._step: dict[Comm, dict[int, int]] = {}
         for label, adj in strong.items():
-            succ = []
-            for s in range(n):
-                acc = set()
-                for x in self._closure[s]:
-                    for y in adj[x]:
-                        acc |= self._closure[y]
-                succ.append(frozenset(acc))
-            self._weak[label] = succ
-        self._enabled = [
-            frozenset(l for l in self.alphabet if self._weak[l][s]) for s in range(n)
-        ]
+            step = self._step[label] = {}
+            for x, targets in adj.items():
+                step[x] = 0
+                for y in targets:
+                    step[x] |= self._cl[y]
 
-    @staticmethod
-    def _reach(s: int, adj) -> frozenset[int]:
-        seen = {s}
-        todo = [s]
-        while todo:
-            x = todo.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return frozenset(seen)
+    def _over_closure(self, seed: list[int]) -> list[int]:
+        """For every state, the OR of `seed` over its silent closure.
+
+        One pass over the components suffices, since those below a
+        component come before it.
+        """
+        acc = [0] * len(self._below)
+        for s, c in enumerate(self._comp):
+            acc[c] |= seed[s]
+        for c, below in enumerate(self._below):
+            for d in below:
+                acc[c] |= acc[d]
+        return [acc[c] for c in self._comp]
 
     @property
     def n_states(self) -> int:
@@ -89,29 +154,49 @@ class WeakLts:
         return self.lts.initial
 
     def closure(self, s: int) -> frozenset[int]:
-        return self._closure[s]
+        return frozenset(_bits(self._cl[s]))
 
     def weak_succ(self, s: int, label: Comm) -> frozenset[int]:
-        succ = self._weak.get(label)
-        return succ[s] if succ is not None else frozenset()
+        return frozenset(_bits(self._post(self._cl[s], label)))
 
     def enabled(self, s: int) -> frozenset[Comm]:
         """Visible labels weakly enabled at s."""
-        return self._enabled[s]
+        cl = self._cl[s]
+        return frozenset(l for l, src in self._src.items() if cl & src)
+
+    def _post(self, states: int, label: Comm) -> int:
+        """Weak `label` successors of a silently closed bitset of states."""
+        acc = 0
+        step = self._step.get(label)
+        for x in _bits(states & self._src.get(label, 0)):
+            acc |= step[x]
+        return acc
+
+    def _signatures(self, block: Sequence[int], shift: dict) -> list[int]:
+        """Every state's signature for one round of partition refinement.
+
+        Bit b is set when the silent closure meets block b, and bit
+        `shift[l] + b` when a weak l-step reaches block b; `block` numbers
+        this system's states.
+        """
+        reach = self._over_closure([1 << b for b in block])
+        visible = [0] * len(block)
+        for label, adj in self._strong.items():
+            for x, targets in adj.items():
+                for y in targets:
+                    visible[x] |= reach[y] << shift[label]
+        return [r | v for r, v in zip(reach, self._over_closure(visible))]
 
     # -- weak trace helpers -------------------------------------------------
 
     def trace_states(self, trace: Sequence[Comm]) -> frozenset[int]:
         """States reachable from the initial state by weakly executing `trace`."""
-        current = self.closure(self.initial)
+        current = self._cl[self.initial]
         for label in trace:
-            nxt = set()
-            for s in current:
-                nxt |= self.weak_succ(s, label)
-            current = frozenset(nxt)
+            current = self._post(current, label)
             if not current:
                 break
-        return current
+        return frozenset(_bits(current))
 
     def admits_trace(self, trace: Sequence[Comm]) -> bool:
         return bool(self.trace_states(trace))
@@ -119,6 +204,24 @@ class WeakLts:
 
 def saturate(lts: Lts) -> WeakLts:
     return WeakLts(lts)
+
+
+System = Union[Lts, WeakLts]
+
+
+def saturate_pair(
+    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
+) -> tuple[WeakLts, WeakLts]:
+    """Both weak systems, `hidden` made silent in the collaboration first.
+
+    A side given as a `WeakLts` is used as it is (already hidden), so one
+    saturated pair can serve both checkers.
+    """
+    if isinstance(collab, WeakLts) and frozenset(hidden):
+        raise ValueError("labels must be hidden before the collaboration is saturated")
+    wa = choreo if isinstance(choreo, WeakLts) else saturate(choreo)
+    wb = collab if isinstance(collab, WeakLts) else saturate(hide(collab, hidden))
+    return wa, wb
 
 
 # ---------------------------------------------------------------------------
@@ -166,40 +269,29 @@ class ConformanceResult:
 # Bisimulation conformance
 
 
+class InternalError(RuntimeError):
+    """A checker broke one of its own invariants: a bug, not bad input."""
+
+
 def _refine(wa: WeakLts, wb: WeakLts):
     """Partition refinement over the disjoint union of two weak systems.
 
     Returns the history of block assignments, one tuple per round, coarsest
-    first; the last entry is the stable partition (weak bisimilarity).
+    first; the last entry is the stable partition (weak bisimilarity).  A
+    state's signature is the set of (silent or visible label, block) pairs it
+    weakly reaches, encoded as one int: silent pairs at bits [0, nb), the
+    i-th visible label at [(i + 1)·nb, (i + 2)·nb).
     """
     na = wa.n_states
-    n = na + wb.n_states
     alphabet = sorted(wa.alphabet | wb.alphabet, key=label_key)
-
-    def weak_succ(u: int, label) -> Iterable[int]:
-        if u < na:
-            return wa.weak_succ(u, label)
-        return (na + v for v in wb.weak_succ(u - na, label))
-
-    def closure(u: int) -> Iterable[int]:
-        if u < na:
-            return wa.closure(u)
-        return (na + v for v in wb.closure(u - na))
-
-    block = [0] * n
+    block = [0] * (na + wb.n_states)
     history = [tuple(block)]
     while True:
+        nb = max(block) + 1
+        shift = {l: (i + 1) * nb for i, l in enumerate(alphabet)}
+        sigs = wa._signatures(block[:na], shift) + wb._signatures(block[na:], shift)
         new_ids: dict[tuple, int] = {}
-        new = []
-        for u in range(n):
-            sig = frozenset(
-                [(None, block[t]) for t in closure(u)]
-                + [(l, block[t]) for l in alphabet for t in weak_succ(u, l)]
-            )
-            key = (block[u], sig)
-            if key not in new_ids:
-                new_ids[key] = len(new_ids)
-            new.append(new_ids[key])
+        new = [new_ids.setdefault(key, len(new_ids)) for key in zip(block, sigs)]
         if new == block:
             return history
         block = new
@@ -236,7 +328,8 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
     path: list[Comm] = []
     while True:
         r = rank(sA, sB)
-        assert r >= 1, "witness requested for a bisimilar pair"
+        if r < 1:
+            raise InternalError("witness requested for a bisimilar pair")
         if r == 1:
             ea = wa.enabled(sA)
             eb = wb.enabled(sB - na)
@@ -258,7 +351,8 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
             if only_b:
                 attack = (action, sB, sA, only_b[0])
                 break
-        assert attack is not None, "separated pair without a distinguishing move"
+        if attack is None:
+            raise InternalError("separated pair without a distinguishing move")
         action, attacker, defender, target_block = attack
         s_new = min(t for t in moves(attacker, action) if prev[t] == target_block)
         replies = sorted(moves(defender, action))
@@ -270,11 +364,10 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
 
 
 def check_bbc(
-    choreo: Lts, collab: Lts, hidden: Iterable[Comm] = frozenset()
+    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
 ) -> ConformanceResult:
     """Weak bisimulation conformance of `collab` (after hiding) against `choreo`."""
-    wa = saturate(choreo)
-    wb = saturate(hide(collab, hidden))
+    wa, wb = saturate_pair(choreo, collab, hidden)
     history = _refine(wa, wb)
     final = history[-1]
     if final[wa.initial] == final[wa.n_states + wb.initial]:
@@ -286,36 +379,27 @@ def check_bbc(
 # Trace conformance
 
 
-def _dsucc(w: WeakLts, states: frozenset[int], label: Comm) -> frozenset[int]:
-    acc = set()
-    for s in states:
-        acc |= w.weak_succ(s, label)
-    return frozenset(acc)
-
-
-def _denabled(w: WeakLts, states: frozenset[int]) -> frozenset[Comm]:
-    acc = frozenset()
-    for s in states:
-        acc |= w.enabled(s)
-    return acc
-
-
 def check_tbc(
-    choreo: Lts, collab: Lts, hidden: Iterable[Comm] = frozenset()
+    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
 ) -> ConformanceResult:
-    """Weak trace conformance of `collab` (after hiding) against `choreo`."""
-    wa = saturate(choreo)
-    wb = saturate(hide(collab, hidden))
-    start = (wa.closure(wa.initial), wb.closure(wb.initial))
+    """Weak trace conformance of `collab` (after hiding) against `choreo`.
+
+    Product states are pairs of silently closed bitsets, so the labels a set
+    weakly enables are those whose strong sources it contains.
+    """
+    wa, wb = saturate_pair(choreo, collab, hidden)
+    sources_a = [(l, wa._src[l]) for l in sorted(wa.alphabet, key=label_key)]
+    sources_b = [(l, wb._src[l]) for l in sorted(wb.alphabet, key=label_key)]
+    start = (wa._cl[wa.initial], wb._cl[wb.initial])
     parent: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         key = queue.popleft()
         sa, sb = key
-        ea = _denabled(wa, sa)
-        eb = _denabled(wb, sb)
+        ea = [l for l, src in sources_a if sa & src]
+        eb = [l for l, src in sources_b if sb & src]
         if ea != eb:
-            offending = min(ea ^ eb, key=label_key)
+            offending = min(set(ea) ^ set(eb), key=label_key)
             side = CHOREOGRAPHY if offending in ea else COLLABORATION
             labels = [offending]
             back = parent[key]
@@ -327,8 +411,8 @@ def check_tbc(
             return ConformanceResult(
                 "tbc", False, DistinguishingTrace(tuple(labels), side)
             )
-        for label in sorted(ea, key=label_key):
-            nxt = (_dsucc(wa, sa, label), _dsucc(wb, sb, label))
+        for label in ea:
+            nxt = (wa._post(sa, label), wb._post(sb, label))
             if nxt not in parent:
                 parent[nxt] = (key, label)
                 queue.append(nxt)
@@ -357,8 +441,12 @@ def _render_label(label: Label) -> str:
     if label == TAU:
         return "tau"
     for part in (label.sender, label.receiver, label.message):
-        if set(part) & _FORBIDDEN:
+        if not part or not part.isprintable() or set(part) & _FORBIDDEN:
             raise ValueError(f"label part {part!r} contains characters unusable in .aut")
+    # `sender->receiver:message` reads back by the first `->` and the first
+    # `:` after it, so those may not occur earlier.
+    if "->" in label.sender or ":" in label.receiver:
+        raise ValueError(f"label {label} would not read back from .aut unchanged")
     return f"{label.sender}->{label.receiver}:{label.message}"
 
 
@@ -369,9 +457,10 @@ def export_aut(lts: Lts) -> bytes:
     `(from, "label", to)` line per transition in canonical order; visible
     labels are rendered `sender->receiver:message` and silent ones `tau`.
     """
+    labels = dict.fromkeys(label for _, label, _ in lts.transitions)
+    text = {label: _render_label(label) for label in labels}
     lines = [f"des ({lts.initial}, {len(lts.transitions)}, {lts.n_states})"]
-    for src, label, tgt in lts.transitions:
-        lines.append(f'({src}, "{_render_label(label)}", {tgt})')
+    lines += [f'({src}, "{text[label]}", {tgt})' for src, label, tgt in lts.transitions]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -337,6 +337,31 @@ def test_export_rejects_unprintable_names():
         export_aut(lts)
 
 
+def test_export_rejects_labels_that_would_read_back_differently():
+    for label in (Comm("a", "b:c", "m"), Comm("a->b", "c", "m"), Comm("a", "", "m")):
+        with pytest.raises(ValueError):
+            export_aut(Lts.make(2, 0, [(0, label, 1)]))
+    tricky = Lts.make(2, 0, [(0, Comm("a:x", "b->c", "m:->n"), 1)])
+    assert parse_aut(export_aut(tricky)) == tricky
+
+
+def test_labels_round_trip_or_are_refused_on_generated_names():
+    rng = random.Random(43)
+    chars = "ab:->- " * 4 + "\t\n\"(),"  # mostly legal, now and then not
+    exported = 0
+    for _ in range(3000):
+        names = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 4)))
+                 for _ in range(3)]
+        lts = Lts.make(2, 0, [(0, Comm(*names), 1), (1, TAU, 0)])
+        try:
+            data = export_aut(lts)
+        except ValueError:
+            continue
+        assert parse_aut(data) == lts
+        exported += 1
+    assert exported >= 400
+
+
 def test_checkers_work_on_reimported_systems(booking_choreography, booking_collaboration):
     chl = parse_aut(export_aut(generate_lts(booking_choreography)))
     coll = parse_aut(export_aut(generate_lts(booking_collaboration)))

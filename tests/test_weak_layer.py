@@ -1,0 +1,175 @@
+"""The condensed weak layer against the eager reference in `oracle_weak`.
+
+Verdicts and counterexamples (states, paths and sides) must be exactly the
+reference's, and so must every closure, weak successor set and enabled set.
+"""
+
+import random
+
+import pytest
+
+import oracle_weak
+from chorcheck import (
+    TAU,
+    Comm,
+    Lts,
+    check_bbc,
+    check_tbc,
+    compose,
+    generate_lts,
+    hide,
+    hiding_set,
+    parse_choreography,
+    parse_collaboration,
+    parse_process,
+    saturate,
+)
+from chorcheck.conformance import InternalError, _bbc_witness, _refine, saturate_pair
+from conftest import fixture_text
+from generators import random_lts, tau_padded
+
+A, B = Comm("A", "B", "m1"), Comm("A", "B", "m2")
+
+# The (choreography, collaboration) pairs the acceptance gate checks.
+STUDY_PAIRS = [
+    ("booking_choreography.txt", "booking_collaboration.txt"),
+    ("two_messages_choreography.txt", "two_messages_inorder.txt"),
+    ("two_messages_choreography.txt", "two_messages_reversed.txt"),
+    ("two_messages_choreography.txt", "two_messages_dropped.txt"),
+    ("two_messages_choreography.txt", "two_messages_parallel.txt"),
+    ("race_choreography.txt", "race_collaboration.txt"),
+    ("race_choreography.txt", "race_collaboration_uncoordinated.txt"),
+    ("request_response_choreography.txt", "request_response_direct.txt"),
+    ("request_response_choreography.txt", "request_response_early_reply.txt"),
+    ("request_response_choreography.txt", "request_response_guarded.txt"),
+    ("drink_shopping_choreography.txt", "drink_shopping_collaboration.txt"),
+]
+
+# The composable role assignments of the booking scenario (bank, customer,
+# booking system), as in the acceptance gate's role matrix.
+ROLE_ASSIGNMENTS = [
+    ("bank.txt", "customer_basic.txt", "booking_system_race.txt"),
+    ("bank.txt", "customer_ack.txt", "booking_system_ack.txt"),
+    ("bank.txt", "customer_ack.txt", "booking_system_xor.txt"),
+]
+
+
+def fixture_systems():
+    """(choreography LTS, collaboration LTS, hidden labels) for every pair."""
+    out = []
+    for ch_name, col_name in STUDY_PAIRS:
+        ch = parse_choreography(fixture_text(ch_name))
+        col = parse_collaboration(fixture_text(col_name))
+        out.append((generate_lts(ch), generate_lts(col), hiding_set(ch, col)))
+    ch = parse_choreography(fixture_text("booking_choreography.txt"))
+    for names in ROLE_ASSIGNMENTS:
+        col = compose([parse_process(fixture_text(n)) for n in names], ("bk", "c", "bs"))
+        out.append((generate_lts(ch), generate_lts(col), hiding_set(ch, col)))
+    return out
+
+
+def assert_same_results(a, b, hidden=frozenset()):
+    assert check_tbc(a, b, hidden) == oracle_weak.check_tbc(a, b, hidden)
+    assert check_bbc(a, b, hidden) == oracle_weak.check_bbc(a, b, hidden)
+
+
+def assert_same_weak_sets(lts):
+    new, ref = saturate(lts), oracle_weak.saturate(lts)
+    assert new.alphabet == ref.alphabet
+    for s in range(lts.n_states):
+        assert new.closure(s) == ref.closure(s)
+        assert new.enabled(s) == ref.enabled(s)
+        for label in ref.alphabet | {Comm("A", "B", "absent")}:
+            assert new.weak_succ(s, label) == ref.weak_succ(s, label)
+
+
+def random_pairs(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        a = random_lts(
+            rng,
+            max_states=rng.randint(1, 7),
+            alphabet=("m1", "m2", "m3")[: rng.randint(1, 3)],
+            tau_weight=rng.choice((0.2, 0.34, 0.6)),
+        )
+        b = tau_padded(rng, a) if i % 3 == 0 else random_lts(rng, max_states=7)
+        yield a, b, ({B} if i % 5 == 0 else frozenset())
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_results_equal_the_reference_on_random_pairs(seed):
+    false_verdicts = 0
+    for a, b, hidden in random_pairs(seed, 1000):
+        assert_same_results(a, b, hidden)
+        assert_same_results(b, a, hidden)
+        false_verdicts += not check_bbc(a, b, hidden).verdict
+    assert 200 <= false_verdicts <= 900  # both verdicts well represented
+
+
+def test_weak_sets_equal_the_reference_on_random_systems():
+    for a, b, hidden in random_pairs(303, 400):
+        assert_same_weak_sets(a)
+        assert_same_weak_sets(hide(b, hidden))
+
+
+def test_results_and_weak_sets_equal_the_reference_on_fixtures():
+    for chl, coll, hidden in fixture_systems():
+        assert_same_results(chl, coll, hidden)
+        assert_same_weak_sets(chl)
+        assert_same_weak_sets(hide(coll, hidden))
+
+
+def test_a_shared_saturated_pair_gives_the_same_results():
+    for chl, coll, hidden in fixture_systems():
+        wa, wb = saturate_pair(chl, coll, hidden)
+        assert check_tbc(wa, wb) == check_tbc(chl, coll, hidden)
+        assert check_bbc(wa, wb) == check_bbc(chl, coll, hidden)
+    with pytest.raises(ValueError):
+        saturate_pair(wa, wb, hidden)
+
+
+def test_witness_refuses_a_bisimilar_pair():
+    rng = random.Random(5)
+    a = random_lts(rng, max_states=6)
+    wa, wb = saturate(a), saturate(tau_padded(rng, a))
+    history = _refine(wa, wb)
+    assert history[-1][wa.initial] == history[-1][wa.n_states + wb.initial]
+    with pytest.raises(InternalError) as info:
+        _bbc_witness(wa, wb, history)
+    assert not isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# Deep silent graphs: no recursion, one component per silent cycle
+
+DEEP = 20_000
+
+
+def test_long_tau_chain():
+    # 0 -tau-> 1 -tau-> ... -tau-> DEEP-1 -A-> DEEP
+    chain = [(s, TAU, s + 1) for s in range(DEEP - 1)] + [(DEEP - 1, A, DEEP)]
+    lts = Lts.make(DEEP + 1, 0, chain)
+    w = saturate(lts)
+    assert len(set(w._comp)) == DEEP + 1
+    assert len(w.closure(0)) == DEEP
+    assert len(w.closure(DEEP // 2)) == DEEP - DEEP // 2
+    assert w.weak_succ(0, A) == {DEEP}
+    equivalent = Lts.make(2, 0, [(0, A, 1)])
+    for x, y in ((lts, equivalent), (equivalent, lts)):
+        assert check_tbc(x, y).verdict and check_bbc(x, y).verdict
+    assert not check_bbc(lts, Lts.make(2, 0, [(0, B, 1)])).verdict
+
+
+def test_long_tau_cycle_condenses_to_one_component():
+    # 0 -tau-> 1 -tau-> ... -tau-> DEEP-1 -tau-> 0, and 0 -A-> DEEP
+    cycle = [(s, TAU, (s + 1) % DEEP) for s in range(DEEP)] + [(0, A, DEEP)]
+    lts = Lts.make(DEEP + 1, 0, cycle)
+    w = saturate(lts)
+    assert len(set(w._comp[:DEEP])) == 1
+    assert len(set(w._comp)) == 2
+    assert len(w.closure(0)) == len(w.closure(DEEP - 1)) == DEEP
+    assert w.enabled(DEEP - 1) == {A}
+    equivalent = Lts.make(2, 0, [(0, A, 1)])
+    for x, y in ((lts, equivalent), (equivalent, lts)):
+        assert check_tbc(x, y).verdict and check_bbc(x, y).verdict
+    assert not check_tbc(lts, Lts.make(2, 0, [(0, A, 1), (1, B, 0)])).verdict
