@@ -4,10 +4,8 @@ collaboration of processes conforms to a choreography."""
 from .model import (
     TAU,
     Branch,
-    ChoreoConfig,
     ChoreoTask,
     Choreography,
-    CollabConfig,
     Collaboration,
     Comm,
     EventBased,
@@ -25,10 +23,7 @@ from .model import (
     Task,
     TaskRcv,
     TaskSnd,
-    UnderflowError,
-    dec_tokens,
     in_edges,
-    inc_tokens,
     labels_choreo,
     labels_collab,
     out_edges,
@@ -58,12 +53,9 @@ from .semantics import (
     DEFAULT_BOUNDS,
     ExplorationBounds,
     Lts,
-    choreo_steps,
-    collab_steps,
     generate_lts,
     hide,
     hiding_set,
-    initial_config,
 )
 from .conformance import (
     AutSyntaxError,

@@ -123,6 +123,13 @@ def _split_names(raw: str) -> list[str]:
     return names
 
 
+def _not_composable(err: CompositionError) -> int:
+    print("not composable:")
+    for issue in err.issues:
+        print(f"  {type(issue).__name__}: {issue}")
+    return 2
+
+
 def cmd_compose(args) -> int:
     try:
         processes = [parse_process(_read(p)) for p in args.files]
@@ -133,10 +140,7 @@ def cmd_compose(args) -> int:
         try:
             collab = compose(processes, names)
         except CompositionError as err:
-            print("not composable:")
-            for issue in err.issues:
-                print(f"  {type(issue).__name__}: {issue}")
-            return 2
+            return _not_composable(err)
         issues = well_composed(collab)
         print("well-composed: ok" if not issues else "well-composed: NO")
         text = print_model(collab)
@@ -159,18 +163,18 @@ def cmd_lts(args) -> int:
             kind = args.kind if args.kind != "auto" else _detect_kind(args.model, args.format)
             _, model = _load_side(args.model, args.format, kind)
             lts = generate_lts(model, _bounds(args))
+        data = export_aut(lts)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.write(data.decode("ascii"))
     except BoundExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    data = export_aut(lts)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode("ascii"))
     print(f"{lts.n_states} states, {len(lts.transitions)} transitions", file=sys.stderr)
     return 0
 
@@ -220,10 +224,7 @@ def cmd_check(args) -> int:
             try:
                 collab = compose(processes, names)
             except CompositionError as err:
-                print("not composable:")
-                for issue in err.issues:
-                    print(f"  {type(issue).__name__}: {issue}")
-                return 2
+                return _not_composable(err)
         elif args.collaboration:
             _, collab = _load_side(args.collaboration, args.format, "collaboration")
         else:

@@ -1,8 +1,8 @@
 """Immutable model structures for BPMN choreographies, processes and collaborations.
 
 A model is a flat tuple of node records; each node names the sequence edges it
-consumes and produces.  Execution state lives outside the model: sparse token
-markings over sequence edges and, for collaborations, over message edges.
+consumes and produces.  Execution state lives outside the model, as token
+markings of the net a model compiles into (see `semantics.Net`).
 All types are hashable values, safe to share and to use as dictionary keys.
 """
 
@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
-
-
-class UnderflowError(Exception):
-    """A token decrement was applied to an edge holding no tokens."""
+from typing import Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -313,92 +309,6 @@ def duplicate_edges(nodes: Iterable) -> tuple[list[str], list[str]]:
     dup_src = sorted(e for e, n in sources.items() if n > 1)
     dup_tgt = sorted(e for e, n in targets.items() if n > 1)
     return dup_src, dup_tgt
-
-
-# ---------------------------------------------------------------------------
-# Sparse token markings
-#
-# A marking maps keys (edge ids, or message edges) to positive token counts;
-# absent keys read as zero, so two markings are equal exactly when their
-# non-zero entries coincide.
-
-
-def inc_tokens(state: Mapping, edges: Iterable) -> dict:
-    """Return a copy of `state` with each listed edge incremented by one."""
-    out = dict(state)
-    for e in edges:
-        out[e] = out.get(e, 0) + 1
-    return out
-
-
-def dec_tokens(state: Mapping, edges: Iterable) -> dict:
-    """Return a copy of `state` with each listed edge decremented by one.
-
-    Raises UnderflowError if any listed edge holds no token; callers are
-    expected to check enabledness first.
-    """
-    out = dict(state)
-    for e in edges:
-        n = out.get(e, 0)
-        if n < 1:
-            raise UnderflowError(f"no token to remove from edge {e!r}")
-        if n == 1:
-            del out[e]
-        else:
-            out[e] = n - 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Configurations
-
-
-def _marking_items(marking: Mapping) -> tuple:
-    return tuple(sorted((k, n) for k, n in marking.items() if n))
-
-
-@dataclass(frozen=True)
-class ChoreoConfig:
-    """Choreography execution state: sequence-edge marking plus start bookkeeping.
-
-    `started` records indices of start events that already fired; a start
-    event fires at most once per execution.
-    """
-
-    marking: tuple[tuple[str, int], ...]
-    started: tuple[int, ...]
-
-    @staticmethod
-    def make(marking: Mapping[str, int], started: Iterable[int]) -> "ChoreoConfig":
-        return ChoreoConfig(_marking_items(marking), tuple(sorted(started)))
-
-    def marking_dict(self) -> dict[str, int]:
-        return dict(self.marking)
-
-
-@dataclass(frozen=True)
-class CollabConfig:
-    """Collaboration execution state: sequence marking, message marking, starts."""
-
-    marking: tuple[tuple[str, int], ...]
-    messages: tuple[tuple[MessageEdge, int], ...]
-    started: tuple[int, ...]
-
-    @staticmethod
-    def make(
-        marking: Mapping[str, int],
-        messages: Mapping[MessageEdge, int],
-        started: Iterable[int],
-    ) -> "CollabConfig":
-        return CollabConfig(
-            _marking_items(marking), _marking_items(messages), tuple(sorted(started))
-        )
-
-    def marking_dict(self) -> dict[str, int]:
-        return dict(self.marking)
-
-    def messages_dict(self) -> dict[MessageEdge, int]:
-        return dict(self.messages)
 
 
 # ---------------------------------------------------------------------------

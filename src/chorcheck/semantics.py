@@ -1,47 +1,45 @@
 """Token-game execution of choreographies and collaborations, and LTS generation.
 
-Execution is a step relation over configurations.  Gateways and events move
-tokens silently; a choreography task emits its communication label in one
-atomic step, while in a collaboration only message *receptions* are visible:
-a send silently deposits a message token in the receiver's queue, and the
-matching receive (or event-based gateway branch) later consumes it under the
-visible label.  Start events fire at most once each.
+Both kinds of diagram share one step relation.  A model is compiled into a
+net: numbered places (sequence edges, message edges, and one place per start
+event holding a single token until that event fires) and one rule per way a
+node can fire, with the places it consumes from and produces into.  Gateways
+and events move tokens silently; a choreography task emits its communication
+label in one atomic step, while in a collaboration only message *receptions*
+are visible: a send silently deposits a message token in the receiver's
+queue, and the matching receive (or event-based gateway branch) later
+consumes it under the visible label.
 
-`generate_lts` explores the reachable configurations breadth-first into a
-finite labelled transition system with deterministic state numbering, failing
+`generate_lts` explores the reachable markings breadth-first into a finite
+labelled transition system with deterministic state numbering, failing
 loudly (BoundExceeded) instead of truncating when a model is unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
-
-from collections import deque
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .model import (
+    RECEIVE_NODES,
+    SEND_NODES,
     TAU,
     AndJoin,
     AndSplit,
-    ChoreoConfig,
     ChoreoTask,
     Choreography,
-    CollabConfig,
     Collaboration,
     Comm,
     EndEvent,
     EventBased,
-    InterRcv,
-    InterSnd,
     Label,
+    MessageEdge,
     StartEvent,
     Task,
-    TaskRcv,
-    TaskSnd,
     XorJoin,
     XorSplit,
-    dec_tokens,
-    inc_tokens,
     label_key,
     labels_choreo,
     labels_collab,
@@ -65,12 +63,21 @@ DEFAULT_BOUNDS = ExplorationBounds()
 
 
 class BoundExceeded(Exception):
-    """State-space exploration hit a bound; `kind` names which one."""
+    """State-space exploration hit a bound; `kind` names which one.
 
-    def __init__(self, kind: str, detail: str):
-        super().__init__(f"{kind} bound exceeded: {detail}")
+    `states` counts the states reached when exploration stopped and
+    `frontier` those of them still waiting to be expanded.
+    """
+
+    def __init__(self, kind: str, detail: str, states: int, frontier: int):
+        super().__init__(
+            f"{kind} bound exceeded: {detail} "
+            f"({states} states reached, {frontier} not yet expanded)"
+        )
         self.kind = kind
         self.detail = detail
+        self.states = states
+        self.frontier = frontier
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,8 @@ class Lts:
 
     Transitions are sorted by (source, label, target) and duplicate-free;
     state 0 is always the initial state for generated systems.  `states`
-    optionally carries the configuration behind each state index and is
-    ignored by equality.
+    optionally carries the marking behind each state index (see `Net`) and
+    is ignored by equality.
     """
 
     n_states: int
@@ -103,208 +110,160 @@ class Lts:
 
 
 # ---------------------------------------------------------------------------
-# Step relations
-#
-# The *_moves functions also report which node fired, which the step functions
-# drop; tests use the node index to check token-conservation per rule.
+# Nets
 
 
-def initial_config(model) -> Union[ChoreoConfig, CollabConfig]:
-    if isinstance(model, Choreography):
-        return ChoreoConfig.make({}, ())
-    if isinstance(model, Collaboration):
-        return CollabConfig.make({}, {}, ())
-    raise TypeError(f"cannot execute {type(model).__name__}")
+class Rule(NamedTuple):
+    """One way node `node` can fire: take a token from each place in `pre`,
+    put one on each place in `post`, and emit `label`."""
+
+    node: int
+    pre: tuple[int, ...]
+    post: tuple[int, ...]
+    label: Label
 
 
-def choreo_moves(
-    ch: Choreography, cfg: ChoreoConfig
-) -> list[tuple[int, Label, ChoreoConfig]]:
-    """Enabled steps of a choreography as (node index, label, successor)."""
-    marking = cfg.marking_dict()
-    started = set(cfg.started)
-    moves = []
+@dataclass(frozen=True)
+class Net:
+    """A model lowered to numbered places and firing rules.
 
-    def emit(idx, label, new_marking, new_started=None):
-        moves.append(
-            (
-                idx,
-                label,
-                ChoreoConfig.make(
-                    new_marking, started if new_started is None else new_started
-                ),
-            )
-        )
+    A place is named by a sequence-edge id (`str`), a `MessageEdge`, or the
+    index (`int`) of a start event; a start place holds a token until its
+    event fires.  A marking is a tuple of token counts indexed like `places`.
+    Rules follow node order, then branch order, which fixes the order in
+    which exploration discovers states.
+    """
 
-    for i, node in enumerate(ch.nodes):
-        if isinstance(node, StartEvent):
-            if i not in started:
-                emit(i, TAU, inc_tokens(marking, [node.out]), started | {i})
-        elif isinstance(node, EndEvent):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), [node.completed]))
-        elif isinstance(node, AndSplit):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), node.outs))
-        elif isinstance(node, AndJoin):
-            if all(marking.get(e, 0) > 0 for e in node.ins):
-                emit(i, TAU, inc_tokens(dec_tokens(marking, node.ins), [node.out]))
-        elif isinstance(node, XorSplit):
-            if marking.get(node.inp, 0) > 0:
-                for out in node.outs:
-                    emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), [out]))
-        elif isinstance(node, XorJoin):
-            for inp in node.ins:
-                if marking.get(inp, 0) > 0:
-                    emit(i, TAU, inc_tokens(dec_tokens(marking, [inp]), [node.out]))
-        elif isinstance(node, ChoreoTask):
-            if marking.get(node.inp, 0) > 0:
-                label = Comm(node.sender, node.receiver, node.message)
-                emit(i, label, inc_tokens(dec_tokens(marking, [node.inp]), [node.out]))
-        elif isinstance(node, EventBased):
-            if marking.get(node.inp, 0) > 0:
-                for b in node.branches:
-                    label = Comm(b.sender, b.receiver, b.message)
-                    emit(i, label, inc_tokens(dec_tokens(marking, [node.inp]), [b.out]))
-        else:
-            raise TypeError(f"node {node!r} is not a choreography element")
-    return moves
+    places: tuple[Union[str, MessageEdge, int], ...]
+    initial: tuple[int, ...]
+    rules: tuple[Rule, ...]
 
 
-def collab_moves(
-    c: Collaboration, cfg: CollabConfig
-) -> list[tuple[int, Label, CollabConfig]]:
-    """Enabled steps of a collaboration as (node index, label, successor)."""
-    marking = cfg.marking_dict()
-    messages = cfg.messages_dict()
-    started = set(cfg.started)
-    moves = []
-
-    def emit(idx, label, new_marking, new_messages=None, new_started=None):
-        moves.append(
-            (
-                idx,
-                label,
-                CollabConfig.make(
-                    new_marking,
-                    messages if new_messages is None else new_messages,
-                    started if new_started is None else new_started,
-                ),
-            )
-        )
-
-    def pass_token(node):
-        return inc_tokens(dec_tokens(marking, [node.inp]), [node.out])
-
-    for i, node in enumerate(c.nodes):
-        if isinstance(node, StartEvent):
-            if i not in started:
-                emit(i, TAU, inc_tokens(marking, [node.out]), new_started=started | {i})
-        elif isinstance(node, EndEvent):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), [node.completed]))
-        elif isinstance(node, AndSplit):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), node.outs))
-        elif isinstance(node, AndJoin):
-            if all(marking.get(e, 0) > 0 for e in node.ins):
-                emit(i, TAU, inc_tokens(dec_tokens(marking, node.ins), [node.out]))
-        elif isinstance(node, XorSplit):
-            if marking.get(node.inp, 0) > 0:
-                for out in node.outs:
-                    emit(i, TAU, inc_tokens(dec_tokens(marking, [node.inp]), [out]))
-        elif isinstance(node, XorJoin):
-            for inp in node.ins:
-                if marking.get(inp, 0) > 0:
-                    emit(i, TAU, inc_tokens(dec_tokens(marking, [inp]), [node.out]))
-        elif isinstance(node, Task):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, pass_token(node))
-        elif isinstance(node, (TaskSnd, InterSnd)):
-            if marking.get(node.inp, 0) > 0:
-                emit(i, TAU, pass_token(node), inc_tokens(messages, [node.edge()]))
-        elif isinstance(node, (TaskRcv, InterRcv)):
-            edge = node.edge()
-            if marking.get(node.inp, 0) > 0 and messages.get(edge, 0) > 0:
-                emit(i, edge.label(), pass_token(node), dec_tokens(messages, [edge]))
-        elif isinstance(node, EventBased):
-            if marking.get(node.inp, 0) > 0:
-                for b in node.branches:
-                    edge = b.edge()
-                    if messages.get(edge, 0) > 0:
-                        emit(
-                            i,
-                            edge.label(),
-                            inc_tokens(dec_tokens(marking, [node.inp]), [b.out]),
-                            dec_tokens(messages, [edge]),
-                        )
-        else:
-            raise TypeError(f"node {node!r} is not a collaboration element")
-    return moves
+def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
+    """(pre, post, label) in place names, one per way `node` can fire."""
+    if isinstance(node, StartEvent):
+        return [((i,), (node.out,), TAU)]
+    if isinstance(node, EndEvent):
+        return [((node.inp,), (node.completed,), TAU)]
+    if isinstance(node, AndSplit):
+        return [((node.inp,), node.outs, TAU)]
+    if isinstance(node, AndJoin):
+        if len(set(node.ins)) < len(node.ins):
+            raise ValueError(f"node {node!r} joins an edge with itself")
+        return [(node.ins, (node.out,), TAU)]
+    if isinstance(node, XorSplit):
+        return [((node.inp,), (out,), TAU) for out in node.outs]
+    if isinstance(node, XorJoin):
+        return [((inp,), (node.out,), TAU) for inp in node.ins]
+    if not collab:
+        if isinstance(node, ChoreoTask):
+            label = Comm(node.sender, node.receiver, node.message)
+            return [((node.inp,), (node.out,), label)]
+        if isinstance(node, EventBased):
+            return [
+                ((node.inp,), (b.out,), Comm(b.sender, b.receiver, b.message))
+                for b in node.branches
+            ]
+        raise TypeError(f"node {node!r} is not a choreography element")
+    if isinstance(node, Task):
+        return [((node.inp,), (node.out,), TAU)]
+    if isinstance(node, SEND_NODES):
+        return [((node.inp,), (node.out, node.edge()), TAU)]
+    if isinstance(node, RECEIVE_NODES):
+        return [((node.inp, node.edge()), (node.out,), node.edge().label())]
+    if isinstance(node, EventBased):
+        return [((node.inp, b.edge()), (b.out,), b.edge().label()) for b in node.branches]
+    raise TypeError(f"node {node!r} is not a collaboration element")
 
 
-def choreo_steps(ch: Choreography, cfg: ChoreoConfig) -> list[tuple[Label, ChoreoConfig]]:
-    return [(label, nxt) for _, label, nxt in choreo_moves(ch, cfg)]
+def compile_net(model) -> Net:
+    """Lower a choreography or collaboration into its net."""
+    if not isinstance(model, (Choreography, Collaboration)):
+        raise TypeError(f"cannot execute {type(model).__name__}")
+    collab = isinstance(model, Collaboration)
+    number: dict = {}
 
+    def numbered(names) -> tuple[int, ...]:
+        return tuple(number.setdefault(name, len(number)) for name in names)
 
-def collab_steps(c: Collaboration, cfg: CollabConfig) -> list[tuple[Label, CollabConfig]]:
-    return [(label, nxt) for _, label, nxt in collab_moves(c, cfg)]
+    rules = tuple(
+        Rule(i, numbered(pre), numbered(post), label)
+        for i, node in enumerate(model.nodes)
+        for pre, post, label in _node_rules(i, node, collab)
+    )
+    names = tuple(number)
+    initial = tuple(int(isinstance(name, int)) for name in names)
+    return Net(names, initial, rules)
 
 
 # ---------------------------------------------------------------------------
 # LTS generation
 
 
-def _check_bounds(cfg, bounds: ExplorationBounds):
-    for edge, n in cfg.marking:
-        if n > bounds.max_tokens_per_edge:
-            raise BoundExceeded(
-                "tokens", f"edge {edge!r} would hold {n} tokens in {cfg}"
-            )
-    if isinstance(cfg, CollabConfig):
-        for edge, n in cfg.messages:
-            if n > bounds.max_messages_per_edge:
-                raise BoundExceeded(
-                    "messages", f"message edge {edge} would hold {n} messages in {cfg}"
-                )
-
-
 def generate_lts(model, bounds: ExplorationBounds = DEFAULT_BOUNDS) -> Lts:
-    """Explore all reachable configurations of a model into an LTS.
+    """Explore all reachable markings of a model into an LTS.
 
     Exploration is breadth-first with canonical step ordering, so two runs on
     the same model and bounds produce identical state numbering and
-    transition lists.
+    transition lists.  Only the places a rule produces into can grow, so the
+    token and message bounds are checked on those alone.
     """
-    if isinstance(model, Choreography):
-        steps = choreo_steps
-    elif isinstance(model, Collaboration):
-        steps = collab_steps
-    else:
-        raise TypeError(f"cannot generate an LTS for {type(model).__name__}")
+    net = compile_net(model)
+    caps = [
+        bounds.max_messages_per_edge if isinstance(name, MessageEdge)
+        else bounds.max_tokens_per_edge
+        for name in net.places
+    ]
+    labels = sorted({rule.label for rule in net.rules}, key=label_key)
+    rank = {label: r for r, label in enumerate(labels)}
+    rules = [(rule.pre, rule.post, rank[rule.label]) for rule in net.rules]
+    max_states = bounds.max_states
 
-    init = initial_config(model)
-    _check_bounds(init, bounds)
-    states = [init]
-    index = {init: 0}
+    states = [net.initial]
+    index = {net.initial: 0}
     transitions = []
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        for label, nxt in steps(model, states[src]):
-            _check_bounds(nxt, bounds)
-            tgt = index.get(nxt)
-            if tgt is None:
-                if len(states) >= bounds.max_states:
-                    raise BoundExceeded(
-                        "states", f"more than {bounds.max_states} reachable states"
-                    )
-                tgt = len(states)
-                index[nxt] = tgt
-                states.append(nxt)
-                queue.append(tgt)
-            transitions.append((src, label, tgt))
-    return Lts.make(len(states), 0, transitions, tuple(states))
+    src = 0
+    while src < len(states):
+        marking = states[src]
+        steps = []
+        for pre, post, r in rules:
+            for p in pre:
+                if not marking[p]:
+                    break
+            else:
+                nxt = list(marking)
+                for p in pre:
+                    nxt[p] -= 1
+                for p in post:
+                    nxt[p] += 1
+                for p in post:
+                    if nxt[p] > caps[p]:
+                        raise _overflow(net.places[p], nxt[p], len(states), src)
+                nxt = tuple(nxt)
+                tgt = index.get(nxt)
+                if tgt is None:
+                    tgt = len(states)
+                    if tgt >= max_states:
+                        raise BoundExceeded(
+                            "states", f"more than {max_states} reachable states",
+                            tgt, tgt - src - 1,
+                        )
+                    index[nxt] = tgt
+                    states.append(nxt)
+                steps.append((r, tgt))
+        for r, tgt in sorted(set(steps)):
+            transitions.append((src, labels[r], tgt))
+        src += 1
+    return Lts(len(states), 0, tuple(transitions), tuple(states))
+
+
+def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:
+    frontier = reached - src - 1
+    if isinstance(place, MessageEdge):
+        return BoundExceeded(
+            "messages", f"message edge {place} would hold {n} messages", reached, frontier
+        )
+    return BoundExceeded("tokens", f"edge {place!r} would hold {n} tokens", reached, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +271,30 @@ def generate_lts(model, bounds: ExplorationBounds = DEFAULT_BOUNDS) -> Lts:
 
 
 def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
-    """Relabel every transition whose label is in `hidden` to tau."""
+    """Relabel every transition whose label is in `hidden` to tau.
+
+    Transitions keep their canonical order: only the run of a source that
+    has a hidden label changes, its tau moves (old and new, merged) first.
+    """
     hidden = frozenset(hidden)
     if any(not isinstance(l, Comm) for l in hidden):
         raise ValueError("only communication labels can be hidden")
-    relabelled = [
-        (src, TAU if label in hidden else label, tgt)
-        for src, label, tgt in lts.transitions
-    ]
-    return Lts.make(lts.n_states, lts.initial, relabelled, lts.states)
+    if not hidden:
+        return lts
+    out = []
+    changed = False
+    for src, run in groupby(lts.transitions, key=itemgetter(0)):
+        run = tuple(run)
+        if any(label in hidden for _, label, _ in run):
+            changed = True
+            taus = {tgt for _, label, tgt in run if label == TAU or label in hidden}
+            out += [(src, TAU, tgt) for tgt in sorted(taus)]
+            out += [t for t in run if t[1] != TAU and t[1] not in hidden]
+        else:
+            out += run
+    if not changed:
+        return lts
+    return Lts(lts.n_states, lts.initial, tuple(out), lts.states)
 
 
 def hiding_set(ch: Choreography, c: Collaboration) -> frozenset[Comm]:

@@ -9,13 +9,19 @@ import random
 
 from chorcheck import (
     TAU,
+    AndJoin,
+    AndSplit,
     Branch,
+    ChoreoTask,
+    Choreography,
+    Collaboration,
     Comm,
     EndEvent,
     EventBased,
     InterRcv,
     InterSnd,
     Lts,
+    Pool,
     Process,
     StartEvent,
     Task,
@@ -96,6 +102,35 @@ def _chain(rng: random.Random, prefix: str, acts: list):
             cur = nxt
     nodes.append(EndEvent(cur, edge()))
     return nodes
+
+
+def fanin(k: int) -> tuple[Choreography, Collaboration]:
+    """The fan-in family: k pools each send one message to a hub.
+
+    The hub and-splits into k parallel receives and joins them again; the
+    choreography is the same and-split over the k exchanges.  The
+    collaboration conforms to the choreography for every k, while its state
+    space grows with every interleaving of the senders.
+    """
+    outs = tuple(f"c{i}" for i in range(k))
+    ins = tuple(f"d{i}" for i in range(k))
+    choreography = Choreography(
+        (StartEvent("s0"), AndSplit("s0", outs))
+        + tuple(ChoreoTask(outs[i], ins[i], f"p{i}", "hub", f"m{i}") for i in range(k))
+        + (AndJoin(ins, "s1"), EndEvent("s1", "s2"))
+    )
+    senders = tuple(
+        Pool(f"p{i}", (
+            StartEvent(f"a{i}"),
+            TaskSnd(f"a{i}", f"b{i}", f"m{i}", f"p{i}", "hub"),
+            EndEvent(f"b{i}", f"z{i}"),
+        ))
+        for i in range(k)
+    )
+    hub = Pool("hub", (StartEvent("x0"), AndSplit("x0", outs))
+               + tuple(TaskRcv(outs[i], ins[i], f"m{i}", f"p{i}", "hub") for i in range(k))
+               + (AndJoin(ins, "x1"), EndEvent("x1", "x2")))
+    return choreography, Collaboration(senders + (hub,))
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,35 @@ def test_lts_echoes_aut_input(tmp_path, capsys):
     assert main(["lts", fx("booking_choreography.txt"), "-o", str(first)]) == 0
     assert main(["lts", str(first), "-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_lts_rejects_labels_aut_cannot_carry(tmp_path, capsys):
+    text = fixture_path("two_way_task.bpmn").read_text()
+    model = tmp_path / "pay.bpmn"
+    model.write_text(text.replace('name="req"', 'name="pay (card)"'))
+    out = tmp_path / "pay.aut"
+    assert main(["lts", str(model)]) == 1
+    assert main(["lts", str(model), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: label part 'pay (card)'") == 2
+    assert not out.exists()
+
+
+def test_composition_failure_prints_the_same_report_from_both_commands(capsys):
+    files = [fx(PROCESSES[x]) for x in "abe"]
+    assert main(["compose", *files, "--names", "bk,c,bs"]) == 2
+    from_compose = capsys.readouterr().out
+    assert main(check_args("abe")) == 2
+    from_check = capsys.readouterr().out
+    assert from_compose == from_check
+    assert from_compose.startswith("not composable:\n  UnmatchedSend: ")
+
+
+def test_lts_bound_report_names_the_edge_and_progress(capsys):
+    assert main(["lts", fx("looping_andsplit.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: tokens bound exceeded: edge 'w3' would hold 3 tokens"
+        " (10 states reached, 1 not yet expanded)\n"
+    )

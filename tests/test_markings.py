@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chorcheck import UnderflowError, dec_tokens, inc_tokens
+from oracle_semantics import UnderflowError, dec_tokens, inc_tokens
 
 edges = st.text(alphabet="abcde", min_size=1, max_size=2)
 markings = st.dictionaries(edges, st.integers(min_value=1, max_value=5), max_size=4)

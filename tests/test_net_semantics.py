@@ -1,0 +1,212 @@
+"""The compiled net against the explicit-configuration oracle.
+
+`generate_lts` must return exactly the oracle's LTS, state numbering and
+transition order included, and each marking it keeps must decode to the
+oracle's configuration for the same state.  Under tight bounds both must
+fail with the same kind of BoundExceeded.  `hide` must equal the oracle's
+re-sorting `hide`.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import oracle_semantics as oracle
+from chorcheck import (
+    BoundExceeded,
+    BpmnDocument,
+    Collaboration,
+    Comm,
+    CompositionError,
+    ExplorationBounds,
+    MalformedModelError,
+    MessageEdge,
+    ParseError,
+    compose,
+    generate_lts,
+    hide,
+    labels_collab,
+    load_choreography,
+    load_collaboration,
+    parse_choreography,
+    parse_collaboration,
+    parse_process,
+)
+from chorcheck.semantics import DEFAULT_BOUNDS, compile_net
+from conftest import FIXTURES, fixture_text
+from generators import fanin, matched_process_tuple, random_lts
+
+# The sender loops, queueing messages faster than the receiver reads them.
+FLOODING = """
+pool A { start(a1) | xorJoin({a1, a3}, a2) | taskSnd(a2, a3, A->B:m) }
+pool B { start(b1) | taskRcv(b1, b2, A->B:m) | end(b2, b3) }
+"""
+
+TIGHT_BOUNDS = [
+    ExplorationBounds(max_tokens_per_edge=1),
+    ExplorationBounds(max_messages_per_edge=1),
+    ExplorationBounds(max_tokens_per_edge=1, max_messages_per_edge=1),
+    ExplorationBounds(max_states=1),
+    ExplorationBounds(max_states=4),
+    ExplorationBounds(max_tokens_per_edge=1, max_messages_per_edge=1, max_states=9),
+]
+
+
+def decode(net, marking, collab: bool):
+    """The oracle's configuration for a net marking."""
+    sequence, messages, started = {}, {}, []
+    for name, n in zip(net.places, marking):
+        if isinstance(name, int):
+            if not n:
+                started.append(name)
+        elif isinstance(name, MessageEdge):
+            messages[name] = n
+        else:
+            sequence[name] = n
+    if collab:
+        return oracle.CollabConfig.make(sequence, messages, started)
+    return oracle.ChoreoConfig.make(sequence, started)
+
+
+def outcome(explore, model, bounds):
+    try:
+        return explore(model, bounds)
+    except (BoundExceeded, oracle.BoundExceeded) as err:
+        return err.kind
+
+
+def assert_same(model, bounds=DEFAULT_BOUNDS):
+    expected = outcome(oracle.generate_lts, model, bounds)
+    got = outcome(generate_lts, model, bounds)
+    assert got == expected
+    if isinstance(got, str):
+        return got
+    assert (got.n_states, got.initial) == (expected.n_states, expected.initial)
+    assert got.transitions == expected.transitions
+    net = compile_net(model)
+    collab = isinstance(model, Collaboration)
+    assert all(min(m) >= 0 for m in got.states)
+    assert [decode(net, m, collab) for m in got.states] == list(expected.states)
+    return got
+
+
+def fixture_models():
+    """Every choreography and collaboration the fixtures hold, plus the
+    composable role assignments of the booking processes."""
+    models = []
+    for path in sorted(FIXTURES.iterdir()):
+        if path.suffix == ".txt":
+            source = path.read_text()
+            readers = (parse_choreography, parse_collaboration)
+        else:
+            source = BpmnDocument.from_path(str(path))
+            readers = (load_choreography, load_collaboration)
+        for read in readers:
+            try:
+                models.append((path.name, read(source)))
+            except (ParseError, MalformedModelError):
+                pass
+    banks = ["bank.txt"]
+    customers = ["customer_basic.txt", "customer_ack.txt"]
+    systems = ["booking_system_race.txt", "booking_system_ack.txt", "booking_system_xor.txt"]
+    for names in itertools.product(banks, customers, systems):
+        processes = [parse_process(fixture_text(n)) for n in names]
+        try:
+            models.append(("+".join(names), compose(processes, ("bk", "c", "bs"))))
+        except CompositionError:
+            pass
+    return models
+
+
+FIXTURE_MODELS = fixture_models()
+
+
+def random_collaborations(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        processes, names = matched_process_tuple(rng)
+        yield compose(processes, names)
+
+
+def test_fixture_models_cover_every_fixture_kind():
+    names = {name for name, _ in FIXTURE_MODELS}
+    assert len(FIXTURE_MODELS) >= 26
+    assert {"booking_choreography.bpmn", "booking_collaboration.bpmn"} <= names
+    assert sum("+" in name for name in names) == 3
+
+
+@pytest.mark.parametrize("name,model", FIXTURE_MODELS, ids=[n for n, _ in FIXTURE_MODELS])
+def test_fixture_lts_equals_the_oracle(name, model):
+    assert_same(model)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_random_collaborations_equal_the_oracle(seed):
+    sizes = []
+    for collab in random_collaborations(seed, 300):
+        got = assert_same(collab)
+        sizes.append(got if isinstance(got, str) else got.n_states)
+    assert max(s for s in sizes if isinstance(s, int)) > 50
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fanin_equals_the_oracle(k):
+    choreography, collaboration = fanin(k)
+    assert_same(choreography)
+    assert_same(collaboration)
+
+
+def test_tight_bounds_fail_like_the_oracle():
+    kinds = set()
+    for bounds in TIGHT_BOUNDS:
+        for _, model in FIXTURE_MODELS:
+            kinds.add(assert_same(model, bounds))
+        for collab in random_collaborations(13, 60):
+            kinds.add(assert_same(collab, bounds))
+        kinds.add(assert_same(fanin(3)[1], bounds))
+        kinds.add(assert_same(parse_collaboration(FLOODING), bounds))
+    assert {"tokens", "messages", "states"} <= kinds
+
+
+def test_processes_are_rejected_like_the_oracle(booking_processes):
+    for process in booking_processes.values():
+        with pytest.raises(TypeError):
+            oracle.generate_lts(process)
+        with pytest.raises(TypeError):
+            generate_lts(process)
+
+
+# ---------------------------------------------------------------------------
+# Hiding
+
+
+def test_hide_equals_the_oracle_on_random_systems():
+    rng = random.Random(21)
+    alphabet = ("m1", "m2", "m3")
+    for _ in range(1500):
+        lts = random_lts(rng, max_states=rng.randint(1, 8), alphabet=alphabet, max_out=4)
+        hidden = {Comm("A", "B", m) for m in alphabet if rng.random() < 0.4}
+        if rng.random() < 0.2:
+            hidden.add(Comm("X", "Y", "absent"))
+        assert hide(lts, hidden) == oracle.hide(lts, hidden)
+
+
+def test_hide_equals_the_oracle_on_generated_systems():
+    rng = random.Random(22)
+    for collab in random_collaborations(23, 150):
+        lts = generate_lts(collab)
+        labels = sorted(labels_collab(collab), key=str)
+        hidden = {l for l in labels if rng.random() < 0.5}
+        got = hide(lts, hidden)
+        assert got == oracle.hide(lts, hidden)
+        assert got.states is lts.states
+
+
+def test_hide_returns_the_system_when_nothing_is_hidden():
+    _, collab = fanin(2)
+    lts = generate_lts(collab)
+    assert hide(lts, ()) is lts
+    assert hide(lts, {Comm("p0", "hub", "absent")}) is lts
+    with pytest.raises(ValueError):
+        hide(lts, {oracle.TAU})

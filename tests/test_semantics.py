@@ -7,9 +7,9 @@ from chorcheck import (
     AndJoin,
     AndSplit,
     BoundExceeded,
-    ChoreoConfig,
-    CollabConfig,
+    Choreography,
     Comm,
+    EndEvent,
     ExplorationBounds,
     InterSnd,
     StartEvent,
@@ -18,22 +18,26 @@ from chorcheck import (
     InterRcv,
     EventBased,
     MessageEdge,
-    choreo_steps,
-    collab_steps,
     compose,
     export_aut,
     generate_lts,
     hide,
     hiding_set,
-    initial_config,
     labels_choreo,
     labels_collab,
     parse_choreography,
     parse_collaboration,
 )
-from chorcheck.semantics import choreo_moves, collab_moves
+from chorcheck.semantics import compile_net
 from conftest import fixture_text
 from generators import matched_process_tuple
+from oracle_semantics import (
+    ChoreoConfig,
+    CollabConfig,
+    choreo_steps,
+    collab_steps,
+    initial_config,
+)
 
 
 def starts_of(model):
@@ -156,12 +160,17 @@ def test_unbounded_token_growth_fails_loudly():
     with pytest.raises(BoundExceeded) as err:
         generate_lts(looping)
     assert err.value.kind == "tokens"
+    assert err.value.detail == "edge 'w3' would hold 3 tokens"
+    assert (err.value.states, err.value.frontier) == (10, 1)
+    assert str(err.value).endswith("(10 states reached, 1 not yet expanded)")
 
 
 def test_state_bound_fails_loudly(booking_collaboration):
     with pytest.raises(BoundExceeded) as err:
         generate_lts(booking_collaboration, ExplorationBounds(max_states=5))
     assert err.value.kind == "states"
+    assert err.value.detail == "more than 5 reachable states"
+    assert (err.value.states, err.value.frontier) == (5, 3)
 
 
 def test_message_bound_fails_loudly():
@@ -176,26 +185,19 @@ def test_message_bound_fails_loudly():
     with pytest.raises(BoundExceeded) as err:
         generate_lts(collab)
     assert err.value.kind == "messages"
+    assert err.value.detail == "message edge A->B:m would hold 5 messages"
+    assert (err.value.states, err.value.frontier) == (32, 3)
 
 
-def sigma_mass(cfg):
-    return sum(n for _, n in cfg.marking)
+def rule_deltas(net, rule):
+    """Change in (sequence tokens, message tokens) whenever `rule` fires."""
 
+    def count(places, kind):
+        return sum(isinstance(net.places[p], kind) for p in places)
 
-def message_mass(cfg):
-    return sum(n for _, n in cfg.messages)
-
-
-def crawl(model, moves):
-    seen = {initial_config(model)}
-    frontier = [initial_config(model)]
-    while frontier:
-        cfg = frontier.pop()
-        for idx, label, nxt in moves(model, cfg):
-            yield cfg, idx, label, nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    sigma = count(rule.post, str) - count(rule.pre, str)
+    messages = count(rule.post, MessageEdge) - count(rule.pre, MessageEdge)
+    return sigma, messages
 
 
 CHOREO_FIXTURES = [
@@ -218,39 +220,62 @@ COLLAB_FIXTURES = [
 @pytest.mark.parametrize("name", CHOREO_FIXTURES)
 def test_choreography_token_conservation(name):
     ch = parse_choreography(fixture_text(name))
-    for cfg, idx, label, nxt in crawl(ch, choreo_moves):
-        node = ch.nodes[idx]
-        delta = sigma_mass(nxt) - sigma_mass(cfg)
+    net = compile_net(ch)
+    assert {rule.node for rule in net.rules} == set(range(len(ch.nodes)))
+    for rule in net.rules:
+        node = ch.nodes[rule.node]
+        delta, messages = rule_deltas(net, rule)
+        assert messages == 0
         if isinstance(node, StartEvent):
-            assert delta == 1 and label == TAU
+            assert delta == 1 and rule.label == TAU
+            assert net.places[rule.pre[0]] == rule.node
+            assert net.initial[rule.pre[0]] == 1
         elif isinstance(node, AndSplit):
             assert delta == len(node.outs) - 1
         elif isinstance(node, AndJoin):
             assert delta == 1 - len(node.ins)
         else:
             assert delta == 0
-        assert all(n >= 0 for _, n in nxt.marking)
 
 
 @pytest.mark.parametrize("name", COLLAB_FIXTURES)
 def test_collaboration_token_conservation(name):
     collab = parse_collaboration(fixture_text(name))
-    for cfg, idx, label, nxt in crawl(collab, collab_moves):
-        node = collab.nodes[idx]
-        sigma_delta = sigma_mass(nxt) - sigma_mass(cfg)
-        msg_delta = message_mass(nxt) - message_mass(cfg)
+    net = compile_net(collab)
+    assert {rule.node for rule in net.rules} == set(range(len(collab.nodes)))
+    for rule in net.rules:
+        node = collab.nodes[rule.node]
+        deltas = rule_deltas(net, rule)
         if isinstance(node, StartEvent):
-            assert (sigma_delta, msg_delta) == (1, 0)
+            assert deltas == (1, 0) and rule.label == TAU
+            assert net.initial[rule.pre[0]] == 1
         elif isinstance(node, AndSplit):
-            assert (sigma_delta, msg_delta) == (len(node.outs) - 1, 0)
+            assert deltas == (len(node.outs) - 1, 0)
         elif isinstance(node, AndJoin):
-            assert (sigma_delta, msg_delta) == (1 - len(node.ins), 0)
+            assert deltas == (1 - len(node.ins), 0)
         elif isinstance(node, (TaskSnd, InterSnd)):
-            assert (sigma_delta, msg_delta) == (0, 1) and label == TAU
+            assert deltas == (0, 1) and rule.label == TAU
         elif isinstance(node, (TaskRcv, InterRcv, EventBased)):
-            assert (sigma_delta, msg_delta) == (0, -1) and isinstance(label, Comm)
+            assert deltas == (0, -1) and isinstance(rule.label, Comm)
         else:
-            assert (sigma_delta, msg_delta) == (0, 0)
+            assert deltas == (0, 0)
+
+
+def test_only_start_places_are_marked_initially(booking_collaboration):
+    net = compile_net(booking_collaboration)
+    marked = [name for name, n in zip(net.places, net.initial) if n]
+    assert marked == list(starts_of(booking_collaboration))
+    assert set(net.initial) == {0, 1}
+
+
+def test_rules_follow_node_then_branch_order(booking_collaboration):
+    nodes = booking_collaboration.nodes
+    net = compile_net(booking_collaboration)
+    order = [rule.node for rule in net.rules]
+    assert order == sorted(order)
+    (race,) = [i for i, n in enumerate(nodes) if isinstance(n, EventBased)]
+    labels = [rule.label for rule in net.rules if rule.node == race]
+    assert labels == [b.edge().label() for b in nodes[race].branches]
 
 
 def test_hide_nothing_is_identity(booking_collaboration):
@@ -329,6 +354,8 @@ def test_processes_alone_are_not_executable(booking_processes):
     with pytest.raises(TypeError):
         generate_lts(booking_processes["a"])
     with pytest.raises(TypeError):
+        compile_net(booking_processes["a"])
+    with pytest.raises(TypeError):
         initial_config(booking_processes["a"])
 
 
@@ -337,3 +364,9 @@ def test_bounds_must_be_positive():
         ExplorationBounds(max_tokens_per_edge=0)
     with pytest.raises(ValueError):
         ExplorationBounds(max_states=0)
+
+
+def test_a_join_of_an_edge_with_itself_is_refused():
+    looped = Choreography((StartEvent("a"), AndJoin(("a", "a"), "b"), EndEvent("b", "c")))
+    with pytest.raises(ValueError):
+        generate_lts(looped)
