@@ -141,9 +141,9 @@ def cmd_compose(args) -> int:
             collab = compose(processes, names)
         except CompositionError as err:
             return _not_composable(err)
+        text = print_model(collab)
         issues = well_composed(collab)
         print("well-composed: ok" if not issues else "well-composed: NO")
-        text = print_model(collab)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -232,13 +232,16 @@ def cmd_check(args) -> int:
                   file=sys.stderr)
             return 1
 
+        # Both sides are explored with priority to confluent silent steps:
+        # the reduced systems are branching bisimilar to the full ones, so
+        # verdicts and counterexamples stay the same.
         bounds = _bounds(args)
         if isinstance(choreo, Choreography):
-            choreo_lts = generate_lts(choreo, bounds)
+            choreo_lts = generate_lts(choreo, bounds, reduce=True)
         else:
             choreo_lts = choreo
         if isinstance(collab, Collaboration):
-            collab_lts = generate_lts(collab, bounds)
+            collab_lts = generate_lts(collab, bounds, reduce=True)
         else:
             collab_lts = collab
         if isinstance(choreo, Choreography) and isinstance(collab, Collaboration):

@@ -493,17 +493,28 @@ def parse_aut(data: Union[bytes, str]) -> Lts:
             f"header announces {n_trans} transitions, found {len(body)}",
             body[-1][0] if body else 1,
         )
+    # Each distinct label text is read once; transitions name it by number.
+    number: dict[str, int] = {}
+    parsed: list[Label] = []
     transitions = []
     for lineno, line in body:
         m = _EDGE_RE.match(line)
         if m is None:
             raise AutSyntaxError(f"cannot read transition {line!r}", lineno)
-        src = int(m.group(1))
-        label = _parse_label(m.group(2) if m.group(2) is not None else m.group(3), lineno)
-        tgt = int(m.group(4))
+        src, quoted, bare, tgt = m.groups()
+        src, tgt = int(src), int(tgt)
         if src >= n_states or tgt >= n_states:
             raise AutSyntaxError("transition endpoint outside declared states", lineno)
-        transitions.append((src, label, tgt))
+        label_text = quoted if quoted is not None else bare
+        i = number.get(label_text)
+        if i is None:
+            i = number[label_text] = len(parsed)
+            parsed.append(_parse_label(label_text, lineno))
+        transitions.append((src, i, tgt))
     if initial >= n_states:
         raise AutSyntaxError("initial state outside declared states", 1)
-    return Lts.make(n_states, initial, transitions)
+    labels = sorted(set(parsed), key=label_key)
+    rank = {label: r for r, label in enumerate(labels)}
+    ranks = [rank[label] for label in parsed]
+    ranked = [(src, ranks[i], tgt) for src, i, tgt in transitions]
+    return Lts.from_ranks(n_states, initial, labels, ranked)

@@ -13,10 +13,13 @@ consumes it under the visible label.
 `generate_lts` explores the reachable markings breadth-first into a finite
 labelled transition system with deterministic state numbering, failing
 loudly (BoundExceeded) instead of truncating when a model is unbounded.
+With `reduce=True` it gives priority to confluent silent rules (see
+`confluent_rules`) and returns a smaller, branching-bisimilar system.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -66,7 +69,12 @@ class BoundExceeded(Exception):
     """State-space exploration hit a bound; `kind` names which one.
 
     `states` counts the states reached when exploration stopped and
-    `frontier` those of them still waiting to be expanded.
+    `frontier` those of them still waiting to be expanded.  Under
+    `generate_lts(..., reduce=True)` the bounds apply to the reduced
+    exploration: the state bound counts reduced states, and a token or
+    message bound is only met on markings the reduced exploration reaches.
+    Those markings are all reachable, so full exploration then fails a
+    bound too; the reverse need not hold.
     """
 
     def __init__(self, kind: str, detail: str, states: int, frontier: int):
@@ -97,13 +105,22 @@ class Lts:
 
     @staticmethod
     def make(n_states, initial, transitions, states=None) -> "Lts":
-        uniq = sorted(set(transitions), key=lambda t: (t[0], label_key(t[1]), t[2]))
+        labels = sorted({label for _, label, _ in transitions}, key=label_key)
+        rank = {label: r for r, label in enumerate(labels)}
+        ranked = [(src, rank[label], tgt) for src, label, tgt in transitions]
+        return Lts.from_ranks(n_states, initial, labels, ranked, states)
+
+    @staticmethod
+    def from_ranks(n_states, initial, labels, transitions, states=None) -> "Lts":
+        """`make` for transitions `(src, r, tgt)` whose label is `labels[r]`,
+        with `labels` distinct and sorted by `label_key`."""
+        uniq = sorted(set(transitions))
         for src, _, tgt in uniq:
             if not (0 <= src < n_states and 0 <= tgt < n_states):
                 raise ValueError(f"transition endpoint out of range: {(src, tgt)}")
         if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
-        return Lts(n_states, initial, tuple(uniq), states)
+        return Lts(n_states, initial, tuple((s, labels[r], t) for s, r, t in uniq), states)
 
     def labels(self) -> frozenset[Comm]:
         return frozenset(l for _, l, _ in self.transitions if isinstance(l, Comm))
@@ -196,17 +213,54 @@ def compile_net(model) -> Net:
     return Net(names, initial, rules)
 
 
+def confluent_rules(net: Net) -> tuple[int, ...]:
+    """Indices of the rules that are silent and sole consumers of their pre-places.
+
+    Once such a rule is enabled no other rule can disable it, and firing it
+    disables no other rule, so it commutes with every other step: it is
+    τ-confluent.  XOR splits share their pre-place and event-based branches
+    are visible, so neither is ever confluent.
+    """
+    consumers = Counter(p for rule in net.rules for p in rule.pre)
+    return tuple(
+        i for i, rule in enumerate(net.rules)
+        if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
+    )
+
+
+def _fire(marking: tuple[int, ...], pre, post) -> tuple[int, ...]:
+    """The marking after a rule fires (`generate_lts` inlines this in its
+    main loop, which runs once per transition)."""
+    nxt = list(marking)
+    for p in pre:
+        nxt[p] -= 1
+    for p in post:
+        nxt[p] += 1
+    return tuple(nxt)
+
+
 # ---------------------------------------------------------------------------
 # LTS generation
 
 
-def generate_lts(model, bounds: ExplorationBounds = DEFAULT_BOUNDS) -> Lts:
-    """Explore all reachable markings of a model into an LTS.
+def generate_lts(
+    model, bounds: ExplorationBounds = DEFAULT_BOUNDS, *, reduce: bool = False
+) -> Lts:
+    """Explore the reachable markings of a model into an LTS.
 
     Exploration is breadth-first with canonical step ordering, so two runs on
     the same model and bounds produce identical state numbering and
     transition lists.  Only the places a rule produces into can grow, so the
     token and message bounds are checked on those alone.
+
+    With `reduce`, a state whose first enabled confluent rule (in rule
+    order) leads to a marking not yet discovered takes that step alone;
+    every other state expands in full.  Confluent steps commute with all
+    others, and a prioritised step always discovers a new state, so no
+    cycle of prioritised steps can postpone another move for ever: the
+    result is branching bisimilar to the full LTS and a sub-LTS of it
+    (Groote & van de Pol 2000).  The bounds then apply to the reduced
+    exploration (see `BoundExceeded`).
     """
     net = compile_net(model)
     caps = [
@@ -217,6 +271,7 @@ def generate_lts(model, bounds: ExplorationBounds = DEFAULT_BOUNDS) -> Lts:
     labels = sorted({rule.label for rule in net.rules}, key=label_key)
     rank = {label: r for r, label in enumerate(labels)}
     rules = [(rule.pre, rule.post, rank[rule.label]) for rule in net.rules]
+    prio = [rules[i] for i in confluent_rules(net)] if reduce else []
     max_states = bounds.max_states
 
     states = [net.initial]
@@ -225,8 +280,14 @@ def generate_lts(model, bounds: ExplorationBounds = DEFAULT_BOUNDS) -> Lts:
     src = 0
     while src < len(states):
         marking = states[src]
+        todo = rules
+        for pre, post, r in prio:
+            if all(marking[p] for p in pre):
+                if _fire(marking, pre, post) not in index:
+                    todo = ((pre, post, r),)
+                break
         steps = []
-        for pre, post, r in rules:
+        for pre, post, r in todo:
             for p in pre:
                 if not marking[p]:
                     break

@@ -17,6 +17,7 @@ else, whatever the input.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 from .model import (
     AndJoin,
@@ -59,10 +60,11 @@ class DuplicateEdgeError(ParseError):
     """An edge id occurs twice as a source or twice as a target."""
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|//[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+  | (?P<ident>""" + _IDENT + r""")
   | (?P<arrow>->)
   | (?P<punct>[(){},|:])
     """,
@@ -370,6 +372,26 @@ def parse_collaboration(text: str) -> Collaboration:
 # Printing
 
 
+_IDENT_RE = re.compile(_IDENT)
+_NAME_KIND = {"message": "message", "sender": "participant", "receiver": "participant"}
+
+
+def _check_name(what: str, name) -> None:
+    if name is not None and not _IDENT_RE.fullmatch(name):
+        raise ValueError(f"{what} {name!r} is not an identifier of the text syntax")
+
+
+def _check_names(node) -> None:
+    """Refuse a node whose names would not read back as the same identifiers."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Branch):
+                _check_names(item)
+            else:
+                _check_name(_NAME_KIND.get(f.name, "edge"), item)
+
+
 def _msg_ref(node) -> str:
     if node.sender is not None and node.receiver is not None:
         return f"{node.sender}->{node.receiver}:{node.message}"
@@ -377,6 +399,7 @@ def _msg_ref(node) -> str:
 
 
 def _node_text(node) -> str:
+    _check_names(node)
     if isinstance(node, StartEvent):
         return f"start({node.out})"
     if isinstance(node, EndEvent):
@@ -408,12 +431,18 @@ def _node_text(node) -> str:
 
 
 def print_model(model) -> str:
-    """Canonical text for a model; parsing it back yields an equal structure."""
+    """Canonical text for a model; parsing it back yields an equal structure.
+
+    Raises ValueError naming the first pool, participant, message or edge
+    name that is not an identifier of the text syntax (a BPMN name such as
+    `Customer A`), rather than printing text that would not parse back.
+    """
     if isinstance(model, (Choreography, Process)):
         return " | ".join(_node_text(n) for n in model.nodes)
     if isinstance(model, Collaboration):
         blocks = []
         for pool in model.pools:
+            _check_name("pool", pool.name)
             body = " |\n  ".join(_node_text(n) for n in pool.nodes)
             blocks.append(f"pool {pool.name} {{\n  {body}\n}}")
         return "\n".join(blocks) + "\n"

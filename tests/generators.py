@@ -39,10 +39,30 @@ def matched_process_tuple(rng: random.Random, max_pools: int = 4):
     tuple always composes; the shape of each process (task/event senders,
     plain tasks, event-based receive groups) is randomized.
     """
+    actions = _matched_actions(rng, max_pools)
+    return _processes(rng, actions), [f"p{i}" for i in range(len(actions))]
+
+
+def matched_tuple_pair(rng: random.Random, max_pools: int = 4):
+    """Two matched process tuples over the same pools and messages.
+
+    Each pool of the second tuple keeps the first one's order of sends and
+    receives with probability 0.7, and every pool's shape is drawn afresh,
+    so the two compositions conform in some draws and not in others.
+    """
+    actions = _matched_actions(rng, max_pools)
+    first = _processes(rng, actions)
+    for acts in actions:
+        if rng.random() < 0.3:
+            rng.shuffle(acts)
+    second = [Process(tuple(_chain(rng, f"q{i}", acts))) for i, acts in enumerate(actions)]
+    return first, second, [f"p{i}" for i in range(len(actions))]
+
+
+def _matched_actions(rng: random.Random, max_pools: int) -> list[list]:
     k = rng.randint(2, max_pools)
-    names = [f"p{i}" for i in range(k)]
     n_msgs = rng.randint(1, 6)
-    actions = {i: [] for i in range(k)}
+    actions = [[] for _ in range(k)]
     for m in range(n_msgs):
         snd = rng.randrange(k)
         rcv = rng.randrange(k - 1)
@@ -50,12 +70,16 @@ def matched_process_tuple(rng: random.Random, max_pools: int = 4):
             rcv += 1
         actions[snd].append(("snd", f"m{m}"))
         actions[rcv].append(("rcv", f"m{m}"))
+    return actions
+
+
+def _processes(rng: random.Random, actions: list[list]) -> list[Process]:
+    """One process per pool, each with its actions shuffled in place."""
     processes = []
-    for i in range(k):
-        acts = actions[i][:]
+    for i, acts in enumerate(actions):
         rng.shuffle(acts)
         processes.append(Process(tuple(_chain(rng, f"q{i}", acts))))
-    return processes, names
+    return processes
 
 
 def _chain(rng: random.Random, prefix: str, acts: list):

@@ -65,6 +65,21 @@ def test_compose_rejects_duplicate_names(capsys):
     assert code == 1
 
 
+def test_compose_refuses_a_name_the_text_syntax_cannot_read(tmp_path, capsys):
+    out = tmp_path / "collab.txt"
+    code = main([
+        "compose", fx("bank.txt"), fx("customer_basic.txt"), fx("booking_system_race.txt"),
+        "--names", "bk,Customer A,bs", "-o", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: participant 'Customer A' is not an identifier of the text syntax\n"
+    )
+    assert not out.exists()
+
+
 def test_compose_rejects_missing_file(capsys):
     code = main(["compose", "no_such_file.txt", "--names", "x"])
     assert code == 1

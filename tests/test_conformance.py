@@ -298,6 +298,15 @@ def test_parse_accepts_unquoted_labels():
     assert lts.transitions == ((0, A, 1),)
 
 
+def test_parse_merges_label_spellings_and_duplicates():
+    # `i`, `tau`, quoted and unquoted spellings name the same labels.
+    lts = parse_aut(
+        'des (0,6,2)\n(1, "A->B:m1", 0)\n(0, i, 1)\n(0,"tau",1)\n'
+        "(1, A->B:m1, 0)\n(0, A->B:m1, 1)\n(0, i, 0)\n"
+    )
+    assert lts.transitions == ((0, TAU, 0), (0, TAU, 1), (0, A, 1), (1, A, 0))
+
+
 def test_round_trip_on_fixture_systems(booking_choreography, booking_collaboration):
     for model in (booking_choreography, booking_collaboration):
         lts = generate_lts(model)

@@ -1,19 +1,32 @@
 import random
+import re
 import string
 
 import pytest
 
 from chorcheck import (
     ArityError,
+    BpmnDocument,
     ChoreoTask,
+    Choreography,
+    Collaboration,
+    EndEvent,
+    EventBased,
+    Branch,
+    Pool,
+    StartEvent,
+    TaskRcv,
+    TaskSnd,
     DuplicateEdgeError,
     ParseError,
     parse_choreography,
     parse_collaboration,
+    load_collaboration,
     parse_process,
     print_model,
 )
-from conftest import FIXTURES, fixture_text
+from chorcheck.model import branch_key
+from conftest import FIXTURES, fixture_path, fixture_text
 
 BOOKING_GLOBAL = """
 start(e1) | task(e1, e2, c->bs:login) | task(e2, e3, c->bs:request) |
@@ -140,6 +153,73 @@ def test_round_trip_all_fixtures(name):
 
 def test_round_trip_booking_collaboration(booking_collaboration):
     assert parse_collaboration(print_model(booking_collaboration)) == booking_collaboration
+
+
+def test_print_refuses_a_bpmn_name_the_text_syntax_cannot_read():
+    xml = fixture_path("booking_collaboration.bpmn").read_text()
+    xml = xml.replace('name="c"', 'name="Customer A"')
+    collab = load_collaboration(BpmnDocument.from_text(xml))
+    with pytest.raises(ValueError, match="participant 'Customer A' is not an identifier"):
+        print_model(collab)
+
+
+# The documented identifier grammar (docs/text-syntax.md).
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
+
+
+def random_name(rng: random.Random) -> str:
+    """Mostly identifiers; sometimes a space, punctuation, a non-ASCII letter,
+    a leading digit, a misplaced prime or nothing at all."""
+    head = rng.choice(string.ascii_letters + "_")
+    tail = "".join(rng.choice(string.ascii_letters + string.digits + "_")
+                   for _ in range(rng.randint(0, 5)))
+    name = head + tail + "'" * rng.choice([0, 0, 0, 1, 2])
+    if rng.random() < 0.15:
+        pos = rng.randint(0, len(name))
+        name = name[:pos] + rng.choice([" ", "-", ">", ":", "(", ",", "é", "'", "1", "."]) + name[pos:]
+    if rng.random() < 0.02:
+        name = ""
+    return name
+
+
+def test_print_round_trips_or_names_the_first_bad_name():
+    rng = random.Random(41)
+    refused = 0
+    for _ in range(3000):
+        names = []
+        while len(names) < 12:
+            name = random_name(rng)
+            if name not in names:
+                names.append(name)
+        p, q, m, n, *e = names
+        if rng.random() < 0.5:
+            model = Collaboration((
+                Pool(p, (StartEvent(e[0]), TaskSnd(e[0], e[1], m, p, q), EndEvent(e[1], e[2]))),
+                Pool(q, (StartEvent(e[3]), EventBased(e[3], tuple(sorted(
+                    [Branch(e[4], m, p, q), Branch(e[5], n, p, q)], key=branch_key))),
+                         TaskRcv(e[4], e[6], n, p, q), EndEvent(e[6], e[7]))),
+            ))
+            # Pools, then each node's names in field order; branches in
+            # their sorted order.
+            first, second = sorted([(e[4], m), (e[5], n)], key=lambda b: branch_key(
+                Branch(b[0], b[1], p, q)))
+            parse, order = parse_collaboration, [
+                p, e[0], e[0], e[1], m, p, q, e[1], e[2],
+                q, e[3], e[3], *first, p, q, *second, p, q, e[4], e[6], n, p, q, e[6], e[7],
+            ]
+        else:
+            model = Choreography((StartEvent(e[0]), ChoreoTask(e[0], e[1], p, q, m),
+                                  EndEvent(e[1], e[2])))
+            parse, order = parse_choreography, [e[0], e[0], e[1], p, q, m, e[1], e[2]]
+        bad = [name for name in order if not IDENT.fullmatch(name)]
+        if bad:
+            refused += 1
+            with pytest.raises(ValueError) as err:
+                print_model(model)
+            assert f"{bad[0]!r} is not an identifier" in str(err.value)
+        else:
+            assert parse(print_model(model)) == model
+    assert 500 < refused < 2500
 
 
 def test_parsers_total_over_noise():
