@@ -23,7 +23,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .model import (
     AndJoin,
@@ -38,6 +38,7 @@ from .model import (
     InterSnd,
     Pool,
     Process,
+    Send,
     StartEvent,
     Task,
     TaskRcv,
@@ -45,6 +46,7 @@ from .model import (
     XorJoin,
     XorSplit,
     branch_key,
+    message_parts,
 )
 
 MODEL_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
@@ -137,6 +139,7 @@ class _FlowGraph:
     def __init__(self, container: ET.Element):
         self.incoming: dict[str, list[str]] = {}
         self.outgoing: dict[str, list[str]] = {}
+        self.target: dict[str, str] = {}
         element_ids = {
             el.get("id")
             for el in container
@@ -152,6 +155,7 @@ class _FlowGraph:
                 raise MalformedModelError(f"sequence flow {fid!r} has a dangling endpoint")
             self.outgoing.setdefault(src, []).append(fid)
             self.incoming.setdefault(tgt, []).append(fid)
+            self.target[fid] = tgt
 
     def one_in(self, eid: str, what: str) -> str:
         ins = self.incoming.get(eid, [])
@@ -178,19 +182,93 @@ def _classify_gateway(flows: _FlowGraph, eid: str, split_cls, join_cls):
     )
 
 
+def _lower_control(flows: _FlowGraph, el: ET.Element):
+    """Start/end events and parallel/exclusive gateways, which lower alike in
+    both diagram kinds; None for any other element."""
+    tag = _local(el.tag)
+    eid = el.get("id", "")
+    if tag in ("startEvent", "endEvent") and _event_definitions(el):
+        raise UnsupportedElementError(f"{tag} with {_event_definitions(el)[0]}", eid)
+    if tag == "startEvent":
+        return StartEvent(flows.one_out(eid, "start event"))
+    if tag == "endEvent":
+        return EndEvent(flows.one_in(eid, "end event"), f"{eid}__completed")
+    if tag == "parallelGateway":
+        return _classify_gateway(flows, eid, AndSplit, AndJoin)
+    if tag == "exclusiveGateway":
+        return _classify_gateway(flows, eid, XorSplit, XorJoin)
+    return None
+
+
+def _absorbed(container: ET.Element, flows: _FlowGraph) -> set[str]:
+    """Ids of the elements event-based gateways fold into their branches."""
+    return {
+        flows.target[fid]
+        for el in container
+        if _local(el.tag) == "eventBasedGateway"
+        for fid in flows.outgoing.get(el.get("id"), [])
+    }
+
+
+def _event_branches(
+    doc: BpmnDocument,
+    flows: _FlowGraph,
+    eid: str,
+    catches: Callable[[ET.Element], bool],
+) -> tuple[str, list[ET.Element]]:
+    """Incoming flow and branch targets of an event-based gateway.
+
+    Every target must be an element `catches` accepts; they are returned in
+    the order of their flow ids.
+    """
+    inp = flows.one_in(eid, "event-based gateway")
+    out_flows = sorted(flows.outgoing.get(eid, []))
+    if len(out_flows) < 2:
+        raise MalformedModelError(
+            f"event-based gateway {eid!r} needs at least two outgoing flows"
+        )
+    targets = []
+    for fid in out_flows:
+        target = doc.by_id.get(flows.target[fid])
+        if target is None or not catches(target):
+            kind = _local(target.tag) if target is not None else "nothing"
+            raise UnsupportedElementError(
+                f"event-based gateway branch into {kind}", flows.target[fid]
+            )
+        targets.append(target)
+    return inp, targets
+
+
 # ---------------------------------------------------------------------------
 # Processes and collaborations
 
 
-def _catch_message(doc: BpmnDocument, el: ET.Element) -> Optional[str]:
-    """Message name of a receive task or message catch event, None if unstated."""
+# Process elements that send or receive a message, by tag.
+_MESSAGE_ELEMENTS = {
+    "sendTask": TaskSnd,
+    "receiveTask": TaskRcv,
+    "intermediateThrowEvent": InterSnd,
+    "intermediateCatchEvent": InterRcv,
+}
+
+
+def _is_message_event(el: ET.Element) -> bool:
+    return _event_definitions(el) == ["messageEventDefinition"]
+
+
+def _is_catch(el: ET.Element) -> bool:
+    """A receive task or a message catch event: what event-based gateways race."""
     tag = _local(el.tag)
-    if tag == "receiveTask":
+    return tag == "receiveTask" or (tag == "intermediateCatchEvent" and _is_message_event(el))
+
+
+def _message(doc: BpmnDocument, el: ET.Element) -> Optional[str]:
+    """Message name of a send/receive task or message event, None if unstated."""
+    if _local(el.tag) in ("sendTask", "receiveTask"):
         return doc.message_name(el.get("messageRef"))
-    if tag == "intermediateCatchEvent":
-        for child in el:
-            if _local(child.tag) == "messageEventDefinition":
-                return doc.message_name(child.get("messageRef"))
+    for child in el:
+        if _local(child.tag) == "messageEventDefinition":
+            return doc.message_name(child.get("messageRef"))
     return None
 
 
@@ -202,19 +280,7 @@ def _lower_process(doc: BpmnDocument, container: ET.Element):
     stay in document order until the caller finalizes them.
     """
     flows = _FlowGraph(container)
-    flow_target: dict[str, str] = {}
-    for el in container:
-        if _local(el.tag) == "sequenceFlow":
-            flow_target[el.get("id")] = el.get("targetRef")
-
-    absorbed: set[str] = set()
-    for el in container:
-        if _local(el.tag) != "eventBasedGateway":
-            continue
-        eid = el.get("id")
-        for fid in sorted(flows.outgoing.get(eid, [])):
-            absorbed.add(flow_target[fid])
-
+    absorbed = _absorbed(container, flows)
     nodes: list = []
     locations: dict[str, tuple] = {}
 
@@ -225,82 +291,36 @@ def _lower_process(doc: BpmnDocument, container: ET.Element):
     for el in container:
         tag = _local(el.tag)
         eid = el.get("id", "")
-        if tag in _SKIP:
+        if tag in _SKIP or eid in absorbed:
             continue
-        if eid in absorbed:
-            continue
-        if tag == "startEvent":
-            if _event_definitions(el):
-                raise UnsupportedElementError(f"startEvent with {_event_definitions(el)[0]}", eid)
-            add(StartEvent(flows.one_out(eid, "start event")))
-        elif tag == "endEvent":
-            if _event_definitions(el):
-                raise UnsupportedElementError(f"endEvent with {_event_definitions(el)[0]}", eid)
-            add(EndEvent(flows.one_in(eid, "end event"), f"{eid}__completed"))
+        node = _lower_control(flows, el)
+        if node is not None:
+            add(node)
         elif tag == "task":
             if _has_loop_marker(el):
                 raise UnsupportedElementError("task with loop marker", eid)
             add(Task(flows.one_in(eid, "task"), flows.one_out(eid, "task")))
-        elif tag in ("sendTask", "receiveTask"):
-            if _has_loop_marker(el):
+        elif tag in _MESSAGE_ELEMENTS:
+            if tag.endswith("Task") and _has_loop_marker(el):
                 raise UnsupportedElementError(f"{tag} with loop marker", eid)
-            cls = TaskSnd if tag == "sendTask" else TaskRcv
-            message = doc.message_name(el.get("messageRef"))
+            if tag.endswith("Event") and not _is_message_event(el):
+                defs = _event_definitions(el)
+                raise UnsupportedElementError(
+                    f"{tag} with {defs[0] if defs else 'no'} definition", eid
+                )
+            message = _message(doc, el)
+            cls = _MESSAGE_ELEMENTS[tag]
             idx = add(cls(flows.one_in(eid, tag), flows.one_out(eid, tag), message))
             locations[eid] = ("node", idx)
-        elif tag == "intermediateCatchEvent":
-            defs = _event_definitions(el)
-            if defs != ["messageEventDefinition"]:
-                raise UnsupportedElementError(
-                    f"intermediateCatchEvent with {defs[0] if defs else 'no'} definition", eid
-                )
-            idx = add(
-                InterRcv(flows.one_in(eid, tag), flows.one_out(eid, tag), _catch_message(doc, el))
-            )
-            locations[eid] = ("node", idx)
-        elif tag == "intermediateThrowEvent":
-            defs = _event_definitions(el)
-            if defs != ["messageEventDefinition"]:
-                raise UnsupportedElementError(
-                    f"intermediateThrowEvent with {defs[0] if defs else 'no'} definition", eid
-                )
-            message = None
-            for child in el:
-                if _local(child.tag) == "messageEventDefinition":
-                    message = doc.message_name(child.get("messageRef"))
-            idx = add(InterSnd(flows.one_in(eid, tag), flows.one_out(eid, tag), message))
-            locations[eid] = ("node", idx)
-        elif tag == "parallelGateway":
-            add(_classify_gateway(flows, eid, AndSplit, AndJoin))
-        elif tag == "exclusiveGateway":
-            add(_classify_gateway(flows, eid, XorSplit, XorJoin))
         elif tag == "eventBasedGateway":
-            inp = flows.one_in(eid, "event-based gateway")
-            out_flows = sorted(flows.outgoing.get(eid, []))
-            if len(out_flows) < 2:
-                raise MalformedModelError(
-                    f"event-based gateway {eid!r} needs at least two outgoing flows"
-                )
-            branches = []
-            branch_ids = []
-            for fid in out_flows:
-                target = doc.by_id.get(flow_target[fid])
-                ttag = _local(target.tag) if target is not None else "nothing"
-                if ttag not in ("intermediateCatchEvent", "receiveTask") or (
-                    ttag == "intermediateCatchEvent"
-                    and _event_definitions(target) != ["messageEventDefinition"]
-                ):
-                    raise UnsupportedElementError(
-                        f"event-based gateway branch into {ttag}", flow_target[fid]
-                    )
-                tid = target.get("id")
-                branches.append(
-                    Branch(flows.one_out(tid, ttag), _catch_message(doc, target))
-                )
-                branch_ids.append(tid)
-            idx = add(EventBased(inp, tuple(branches)))
-            for pos, tid in enumerate(branch_ids):
-                locations[tid] = ("branch", idx, pos)
+            inp, targets = _event_branches(doc, flows, eid, _is_catch)
+            branches = tuple(
+                Branch(flows.one_out(t.get("id"), _local(t.tag)), _message(doc, t))
+                for t in targets
+            )
+            idx = add(EventBased(inp, branches))
+            for pos, target in enumerate(targets):
+                locations[target.get("id")] = ("branch", idx, pos)
         else:
             raise UnsupportedElementError(tag, eid)
     return nodes, locations
@@ -317,18 +337,8 @@ def _finalize(nodes: list) -> tuple:
 
 
 def _require_messages(nodes, pool: str):
-    for node in nodes:
-        if isinstance(node, (TaskRcv, TaskSnd, InterRcv, InterSnd)):
-            if node.message is None:
-                raise MalformedModelError(
-                    f"communicating element in pool {pool!r} has no message"
-                )
-        if isinstance(node, EventBased):
-            for b in node.branches:
-                if b.message is None:
-                    raise MalformedModelError(
-                        f"event-based branch in pool {pool!r} has no message"
-                    )
+    if any(part.message is None for node in nodes for part in message_parts(node)):
+        raise MalformedModelError(f"communicating element in pool {pool!r} has no message")
 
 
 def load_process(doc: BpmnDocument, pool_id: str) -> Process:
@@ -396,42 +406,28 @@ def load_collaboration(doc: BpmnDocument) -> Collaboration:
 
         def patch(pool_idx, loc, expect_send):
             nodes = pool_nodes[pool_idx]
-            kind = loc[0]
             node = nodes[loc[1]]
-            if kind == "node":
-                is_send = isinstance(node, (TaskSnd, InterSnd))
-                if is_send != expect_send:
-                    raise MalformedModelError(
-                        f"message flow {mf.get('id')!r} attached to the wrong side"
-                    )
-                nodes[loc[1]] = replace(
-                    node,
-                    message=message or node.message,
-                    sender=pool_names[sender_pool],
-                    receiver=pool_names[receiver_pool],
+            part = node if loc[0] == "node" else node.branches[loc[2]]
+            if isinstance(part, Send) != expect_send:
+                raise MalformedModelError(
+                    f"message flow {mf.get('id')!r} attached to the wrong side"
                 )
-                if nodes[loc[1]].message is None:
-                    raise MalformedModelError(
-                        f"message flow {mf.get('id')!r} carries no message name"
-                    )
+            part = replace(
+                part,
+                message=message or part.message,
+                sender=pool_names[sender_pool],
+                receiver=pool_names[receiver_pool],
+            )
+            if part.message is None:
+                raise MalformedModelError(
+                    f"message flow {mf.get('id')!r} carries no message name"
+                )
+            if loc[0] == "node":
+                nodes[loc[1]] = part
             else:
-                if expect_send:
-                    raise MalformedModelError(
-                        f"message flow {mf.get('id')!r} starts at a receiving branch"
-                    )
                 branches = list(node.branches)
-                b = branches[loc[2]]
-                branches[loc[2]] = Branch(
-                    b.out,
-                    message or b.message,
-                    pool_names[sender_pool],
-                    pool_names[receiver_pool],
-                )
-                if branches[loc[2]].message is None:
-                    raise MalformedModelError(
-                        f"message flow {mf.get('id')!r} carries no message name"
-                    )
-                nodes[loc[1]] = EventBased(node.inp, tuple(branches))
+                branches[loc[2]] = part
+                nodes[loc[1]] = replace(node, branches=tuple(branches))
 
         patch(sender_pool, src_loc, expect_send=True)
         patch(receiver_pool, tgt_loc, expect_send=False)
@@ -439,18 +435,10 @@ def load_collaboration(doc: BpmnDocument) -> Collaboration:
     pools = []
     for name, nodes in zip(pool_names, pool_nodes):
         final = _finalize(nodes)
-        for node in final:
-            if isinstance(node, (TaskRcv, TaskSnd, InterRcv, InterSnd)):
-                if node.sender is None:
-                    raise MalformedModelError(
-                        f"element in pool {name!r} is not connected by any message flow"
-                    )
-            elif isinstance(node, EventBased):
-                for b in node.branches:
-                    if b.sender is None:
-                        raise MalformedModelError(
-                            f"event-based branch in pool {name!r} has no message flow"
-                        )
+        if any(part.sender is None for node in final for part in message_parts(node)):
+            raise MalformedModelError(
+                f"element in pool {name!r} is not connected by any message flow"
+            )
         pools.append(Pool(name, final))
     return Collaboration(tuple(pools))
 
@@ -493,11 +481,6 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
         return participants[src], participants[tgt], message
 
     flows = _FlowGraph(choreo_el)
-    flow_target = {
-        el.get("id"): el.get("targetRef")
-        for el in choreo_el
-        if _local(el.tag) == "sequenceFlow"
-    }
 
     def task_comms(el: ET.Element) -> list[tuple[str, str, str]]:
         """Exchanges of one choreography task: one entry, or request then response."""
@@ -519,28 +502,16 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
             )
         return [first[0], second[0]]
 
-    absorbed: set[str] = set()
-    for el in choreo_el:
-        if _local(el.tag) == "eventBasedGateway":
-            for fid in sorted(flows.outgoing.get(el.get("id"), [])):
-                absorbed.add(flow_target[fid])
-
+    absorbed = _absorbed(choreo_el, flows)
     nodes: list = []
     for el in choreo_el:
         tag = _local(el.tag)
         eid = el.get("id", "")
-        if tag in _SKIP or tag in ("participant", "messageFlow"):
+        if tag in _SKIP or tag in ("participant", "messageFlow") or eid in absorbed:
             continue
-        if eid in absorbed:
-            continue
-        if tag == "startEvent":
-            if _event_definitions(el):
-                raise UnsupportedElementError(f"startEvent with {_event_definitions(el)[0]}", eid)
-            nodes.append(StartEvent(flows.one_out(eid, "start event")))
-        elif tag == "endEvent":
-            if _event_definitions(el):
-                raise UnsupportedElementError(f"endEvent with {_event_definitions(el)[0]}", eid)
-            nodes.append(EndEvent(flows.one_in(eid, "end event"), f"{eid}__completed"))
+        node = _lower_control(flows, el)
+        if node is not None:
+            nodes.append(node)
         elif tag == "choreographyTask":
             inp = flows.one_in(eid, "choreography task")
             out = flows.one_out(eid, "choreography task")
@@ -553,26 +524,12 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
                 (s1, r1, m1), (s2, r2, m2) = comms
                 nodes.append(ChoreoTask(inp, link, s1, r1, m1))
                 nodes.append(ChoreoTask(link, out, s2, r2, m2))
-        elif tag == "parallelGateway":
-            nodes.append(_classify_gateway(flows, eid, AndSplit, AndJoin))
-        elif tag == "exclusiveGateway":
-            nodes.append(_classify_gateway(flows, eid, XorSplit, XorJoin))
         elif tag == "eventBasedGateway":
-            inp = flows.one_in(eid, "event-based gateway")
-            out_flows = sorted(flows.outgoing.get(eid, []))
-            if len(out_flows) < 2:
-                raise MalformedModelError(
-                    f"event-based gateway {eid!r} needs at least two outgoing flows"
-                )
+            inp, targets = _event_branches(
+                doc, flows, eid, lambda t: _local(t.tag) == "choreographyTask"
+            )
             branches = []
-            for fid in out_flows:
-                target = doc.by_id.get(flow_target[fid])
-                if target is None or _local(target.tag) != "choreographyTask":
-                    raise UnsupportedElementError(
-                        "event-based gateway branch into "
-                        + (_local(target.tag) if target is not None else "nothing"),
-                        flow_target[fid],
-                    )
+            for target in targets:
                 tid = target.get("id")
                 t_out = flows.one_out(tid, "choreography task")
                 comms = task_comms(target)

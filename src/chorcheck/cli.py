@@ -35,6 +35,7 @@ from .conformance import (
 )
 from .model import Choreography, Collaboration
 from .semantics import (
+    DEFAULT_BOUNDS,
     BoundExceeded,
     ExplorationBounds,
     generate_lts,
@@ -74,18 +75,17 @@ def _read(path: str) -> str:
 
 
 def _load_side(path: str, fmt: str, kind: str):
-    """Load one input; returns ('model', model) or ('lts', lts)."""
+    """Load one input: a model, or an `Lts` for an .aut file."""
     fmt = _detect_format(path, fmt)
     if fmt == "aut":
-        return "lts", parse_aut(_read(path))
+        return parse_aut(_read(path))
     if fmt == "bpmn":
         doc = BpmnDocument.from_path(path)
-        model = load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
-        return "model", model
+        return load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
     text = _read(path)
     if kind == "choreography":
-        return "model", parse_choreography(text)
-    return "model", parse_collaboration(text)
+        return parse_choreography(text)
+    return parse_collaboration(text)
 
 
 def _detect_kind(path: str, fmt: str) -> str:
@@ -108,12 +108,14 @@ def _bounds(args) -> ExplorationBounds:
 
 
 def _add_bounds_flags(parser):
-    parser.add_argument("--max-tokens", type=int, default=2,
-                        help="token bound per sequence edge (default 2)")
-    parser.add_argument("--max-messages", type=int, default=4,
-                        help="message bound per message edge (default 4)")
-    parser.add_argument("--max-states", type=int, default=100_000,
-                        help="state count bound (default 100000)")
+    parser.add_argument("--max-tokens", type=int,
+                        default=DEFAULT_BOUNDS.max_tokens_per_edge,
+                        help="token bound per sequence edge (default %(default)s)")
+    parser.add_argument("--max-messages", type=int,
+                        default=DEFAULT_BOUNDS.max_messages_per_edge,
+                        help="message bound per message edge (default %(default)s)")
+    parser.add_argument("--max-states", type=int, default=DEFAULT_BOUNDS.max_states,
+                        help="state count bound (default %(default)s)")
 
 
 def _split_names(raw: str) -> list[str]:
@@ -161,7 +163,7 @@ def cmd_lts(args) -> int:
             lts = parse_aut(_read(args.model))
         else:
             kind = args.kind if args.kind != "auto" else _detect_kind(args.model, args.format)
-            _, model = _load_side(args.model, args.format, kind)
+            model = _load_side(args.model, args.format, kind)
             lts = generate_lts(model, _bounds(args))
         data = export_aut(lts)
         if args.out:
@@ -208,7 +210,7 @@ def _print_verdict(result, report: str):
 
 def cmd_check(args) -> int:
     try:
-        _, choreo = _load_side(args.choreography, args.format, "choreography")
+        choreo = _load_side(args.choreography, args.format, "choreography")
 
         if args.processes:
             if args.collaboration:
@@ -226,7 +228,7 @@ def cmd_check(args) -> int:
             except CompositionError as err:
                 return _not_composable(err)
         elif args.collaboration:
-            _, collab = _load_side(args.collaboration, args.format, "collaboration")
+            collab = _load_side(args.collaboration, args.format, "collaboration")
         else:
             print("error: a collaboration file or --processes is required",
                   file=sys.stderr)

@@ -11,24 +11,19 @@ at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .model import (
-    Branch,
     Collaboration,
     EventBased,
-    InterRcv,
-    InterSnd,
     Pool,
     Process,
-    RECEIVE_NODES,
-    SEND_NODES,
-    TaskRcv,
-    TaskSnd,
+    Send,
     branch_key,
     duplicate_edges,
     in_edges,
+    message_parts,
     out_edges,
 )
 
@@ -103,13 +98,9 @@ def _role_occurrences(processes, names, role: str) -> dict[str, list[tuple[str, 
     want_send = role == "send"
     for proc, name in zip(processes, names):
         for i, node in enumerate(proc.nodes):
-            if want_send and isinstance(node, SEND_NODES):
-                occ.setdefault(node.message, []).append((name, i))
-            elif not want_send and isinstance(node, RECEIVE_NODES):
-                occ.setdefault(node.message, []).append((name, i))
-            elif not want_send and isinstance(node, EventBased):
-                for b in node.branches:
-                    occ.setdefault(b.message, []).append((name, i))
+            for part in message_parts(node):
+                if isinstance(part, Send) == want_send:
+                    occ.setdefault(part.message, []).append((name, i))
     return occ
 
 
@@ -146,16 +137,13 @@ def _check_shapes(processes, names):
 
 def _resolve(node, snd: dict, rcv: dict):
     """Rewrite one node, attaching sender/receiver pools to its message names."""
-    if isinstance(node, (TaskRcv, TaskSnd, InterRcv, InterSnd)):
-        m = node.message
-        return type(node)(node.inp, node.out, m, snd[m], rcv[m])
+    def attach(part):
+        return replace(part, sender=snd[part.message], receiver=rcv[part.message])
+
     if isinstance(node, EventBased):
-        branches = tuple(
-            Branch(b.out, b.message, snd[b.message], rcv[b.message])
-            for b in node.branches
-        )
-        return EventBased(node.inp, tuple(sorted(branches, key=branch_key)))
-    return node
+        branches = sorted(map(attach, node.branches), key=branch_key)
+        return replace(node, branches=tuple(branches))
+    return attach(node) if message_parts(node) else node
 
 
 def compose(processes: Sequence[Process], names: Sequence[str]) -> Collaboration:

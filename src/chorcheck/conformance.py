@@ -441,7 +441,7 @@ def _render_label(label: Label) -> str:
     if label == TAU:
         return "tau"
     for part in (label.sender, label.receiver, label.message):
-        if not part or not part.isprintable() or set(part) & _FORBIDDEN:
+        if not part or not (part.isascii() and part.isprintable()) or set(part) & _FORBIDDEN:
             raise ValueError(f"label part {part!r} contains characters unusable in .aut")
     # `sender->receiver:message` reads back by the first `->` and the first
     # `:` after it, so those may not occur earlier.

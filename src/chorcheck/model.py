@@ -131,32 +131,8 @@ class Task:
 
 
 @dataclass(frozen=True)
-class TaskRcv:
-    inp: str
-    out: str
-    message: str
-    sender: Optional[str] = None
-    receiver: Optional[str] = None
-
-    def edge(self) -> MessageEdge:
-        return _require_edge(self)
-
-
-@dataclass(frozen=True)
-class TaskSnd:
-    inp: str
-    out: str
-    message: str
-    sender: Optional[str] = None
-    receiver: Optional[str] = None
-
-    def edge(self) -> MessageEdge:
-        return _require_edge(self)
-
-
-@dataclass(frozen=True)
-class InterRcv:
-    """Intermediate message catch event."""
+class Send:
+    """Sending node: passes its token on and silently queues `message`."""
 
     inp: str
     out: str
@@ -169,17 +145,38 @@ class InterRcv:
 
 
 @dataclass(frozen=True)
-class InterSnd:
+class Receive:
+    """Receiving node: passes its token on by consuming a queued `message`."""
+
+    inp: str
+    out: str
+    message: str
+    sender: Optional[str] = None
+    receiver: Optional[str] = None
+
+    def edge(self) -> MessageEdge:
+        return _require_edge(self)
+
+
+# A task and an intermediate event that send (or receive) share one
+# semantics; the subclass only records which notation the model used, so
+# the two stay unequal and each reads back as written.
+
+
+class TaskSnd(Send):
+    """Send task."""
+
+
+class InterSnd(Send):
     """Intermediate message throw event."""
 
-    inp: str
-    out: str
-    message: str
-    sender: Optional[str] = None
-    receiver: Optional[str] = None
 
-    def edge(self) -> MessageEdge:
-        return _require_edge(self)
+class TaskRcv(Receive):
+    """Receive task."""
+
+
+class InterRcv(Receive):
+    """Intermediate message catch event."""
 
 
 @dataclass(frozen=True)
@@ -214,11 +211,8 @@ ChoreoNode = Union[
 ]
 ProcNode = Union[
     StartEvent, EndEvent, AndSplit, AndJoin, XorSplit, XorJoin,
-    Task, TaskRcv, TaskSnd, InterRcv, InterSnd, EventBased,
+    Task, Send, Receive, EventBased,
 ]
-
-SEND_NODES = (TaskSnd, InterSnd)
-RECEIVE_NODES = (TaskRcv, InterRcv)
 
 
 def branch_key(b: Branch) -> tuple:
@@ -259,10 +253,6 @@ class Collaboration:
     def pool_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.pools)
 
-    def node_pools(self) -> tuple[tuple[ProcNode, str], ...]:
-        """Flattened nodes paired with the name of the pool owning each."""
-        return tuple((n, p.name) for p in self.pools for n in p.nodes)
-
 
 Model = Union[Choreography, Process, Collaboration]
 
@@ -277,7 +267,7 @@ def source_edges(node) -> tuple[str, ...]:
         return node.outs
     if isinstance(node, (AndJoin, XorJoin)):
         return (node.out,)
-    if isinstance(node, (ChoreoTask, Task, TaskRcv, TaskSnd, InterRcv, InterSnd)):
+    if isinstance(node, (ChoreoTask, Task, Send, Receive)):
         return (node.out,)
     if isinstance(node, EventBased):
         return tuple(b.out for b in node.branches)
@@ -294,7 +284,7 @@ def target_edges(node) -> tuple[str, ...]:
         return (node.inp,)
     if isinstance(node, (AndJoin, XorJoin)):
         return node.ins
-    if isinstance(node, (ChoreoTask, Task, TaskRcv, TaskSnd, InterRcv, InterSnd)):
+    if isinstance(node, (ChoreoTask, Task, Send, Receive)):
         return (node.inp,)
     raise TypeError(f"unknown node {node!r}")
 
@@ -315,16 +305,27 @@ def duplicate_edges(nodes: Iterable) -> tuple[list[str], list[str]]:
 # Communication label and message-edge views
 
 
+def message_parts(node) -> tuple:
+    """The parts of a node that carry a message.
+
+    The node itself for a choreography task, a send or a receive; the
+    branches of an event-based gateway; nothing for any other node.  In a
+    process, every part that is not a `Send` receives.
+    """
+    if isinstance(node, (ChoreoTask, Send, Receive)):
+        return (node,)
+    if isinstance(node, EventBased):
+        return node.branches
+    return ()
+
+
 def labels_choreo(ch: Choreography) -> frozenset[Comm]:
     """All communication labels a choreography can ever produce."""
-    acc = set()
-    for node in ch.nodes:
-        if isinstance(node, ChoreoTask):
-            acc.add(Comm(node.sender, node.receiver, node.message))
-        elif isinstance(node, EventBased):
-            for b in node.branches:
-                acc.add(Comm(b.sender, b.receiver, b.message))
-    return frozenset(acc)
+    return frozenset(
+        Comm(part.sender, part.receiver, part.message)
+        for node in ch.nodes
+        for part in message_parts(node)
+    )
 
 
 def labels_collab(c: Collaboration) -> frozenset[Comm]:
@@ -333,32 +334,24 @@ def labels_collab(c: Collaboration) -> frozenset[Comm]:
     Only receive-side elements contribute: sends are internal moves, so a
     send-side label could never appear on any transition.
     """
-    acc = set()
-    for node in c.nodes:
-        if isinstance(node, RECEIVE_NODES):
-            acc.add(node.edge().label())
-        elif isinstance(node, EventBased):
-            for b in node.branches:
-                acc.add(b.edge().label())
-    return frozenset(acc)
+    return frozenset(edge.label() for edge in in_edges(c))
 
 
 def out_edges(c: Collaboration) -> Counter:
     """Multiset of message edges outgoing from sending elements."""
-    acc: Counter = Counter()
-    for node in c.nodes:
-        if isinstance(node, SEND_NODES):
-            acc[node.edge()] += 1
-    return acc
+    return Counter(
+        part.edge()
+        for node in c.nodes
+        for part in message_parts(node)
+        if isinstance(part, Send)
+    )
 
 
 def in_edges(c: Collaboration) -> Counter:
     """Multiset of message edges incoming into receiving elements."""
-    acc: Counter = Counter()
-    for node in c.nodes:
-        if isinstance(node, RECEIVE_NODES):
-            acc[node.edge()] += 1
-        elif isinstance(node, EventBased):
-            for b in node.branches:
-                acc[b.edge()] += 1
-    return acc
+    return Counter(
+        part.edge()
+        for node in c.nodes
+        for part in message_parts(node)
+        if not isinstance(part, Send)
+    )

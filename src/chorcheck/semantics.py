@@ -26,8 +26,6 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .model import (
-    RECEIVE_NODES,
-    SEND_NODES,
     TAU,
     AndJoin,
     AndSplit,
@@ -39,6 +37,8 @@ from .model import (
     EventBased,
     Label,
     MessageEdge,
+    Receive,
+    Send,
     StartEvent,
     Task,
     XorJoin,
@@ -184,9 +184,9 @@ def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
         raise TypeError(f"node {node!r} is not a choreography element")
     if isinstance(node, Task):
         return [((node.inp,), (node.out,), TAU)]
-    if isinstance(node, SEND_NODES):
+    if isinstance(node, Send):
         return [((node.inp,), (node.out, node.edge()), TAU)]
-    if isinstance(node, RECEIVE_NODES):
+    if isinstance(node, Receive):
         return [((node.inp, node.edge()), (node.out,), node.edge().label())]
     if isinstance(node, EventBased):
         return [((node.inp, b.edge()), (b.out,), b.edge().label()) for b in node.branches]

@@ -32,6 +32,8 @@ from .model import (
     InterSnd,
     Pool,
     Process,
+    Receive,
+    Send,
     StartEvent,
     Task,
     TaskRcv,
@@ -78,6 +80,20 @@ _KEYWORDS = frozenset(
         "pool",
     }
 )
+
+# Keywords that name their class outright, read by the parser and written
+# by the printer.
+_CLASS_OF = {
+    "andSplit": AndSplit,
+    "xorSplit": XorSplit,
+    "andJoin": AndJoin,
+    "xorJoin": XorJoin,
+    "taskRcv": TaskRcv,
+    "taskSnd": TaskSnd,
+    "interRcv": InterRcv,
+    "interSnd": InterSnd,
+}
+_KEYWORD_OF = {cls: word for word, cls in _CLASS_OF.items()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -190,6 +206,7 @@ class _Parser:
                 expected=tuple(sorted(_KEYWORDS - {"pool"})),
             )
         self.next()
+        cls = _CLASS_OF.get(word)
         if word == "start":
             self.expect("(")
             out = self.ident("edge id")
@@ -202,23 +219,21 @@ class _Parser:
             completed = self.ident("edge id")
             self.expect(")")
             return EndEvent(inp, completed)
-        if word in ("andSplit", "xorSplit"):
+        if cls in (AndSplit, XorSplit):
             self.expect("(")
             inp = self.ident("edge id")
             self.expect(",")
             outs, set_pos = self.edge_set()
             self.expect(")")
             self.gateway_arity(outs, set_pos)
-            cls = AndSplit if word == "andSplit" else XorSplit
             return cls(inp, outs)
-        if word in ("andJoin", "xorJoin"):
+        if cls in (AndJoin, XorJoin):
             self.expect("(")
             ins, set_pos = self.edge_set()
             self.expect(",")
             out = self.ident("edge id")
             self.expect(")")
             self.gateway_arity(ins, set_pos)
-            cls = AndJoin if word == "andJoin" else XorJoin
             return cls(ins, out)
         if word == "task":
             self.expect("(")
@@ -236,7 +251,7 @@ class _Parser:
                 return ChoreoTask(inp, out, sender, receiver, message)
             self.expect(")")
             return Task(inp, out)
-        if word in ("taskRcv", "taskSnd", "interRcv", "interSnd"):
+        if cls is not None and issubclass(cls, (Send, Receive)):
             if kind == "choreography":
                 raise ParseError(f"{word} is not a choreography element", pos)
             self.expect("(")
@@ -248,12 +263,6 @@ class _Parser:
                 require_triple=(kind == "collaboration")
             )
             self.expect(")")
-            cls = {
-                "taskRcv": TaskRcv,
-                "taskSnd": TaskSnd,
-                "interRcv": InterRcv,
-                "interSnd": InterSnd,
-            }[word]
             return cls(inp, out, message, sender, receiver)
         if word == "eventBased":
             self.expect("(")
@@ -404,26 +413,17 @@ def _node_text(node) -> str:
         return f"start({node.out})"
     if isinstance(node, EndEvent):
         return f"end({node.inp}, {node.completed})"
-    if isinstance(node, AndSplit):
-        return f"andSplit({node.inp}, {{{', '.join(node.outs)}}})"
-    if isinstance(node, XorSplit):
-        return f"xorSplit({node.inp}, {{{', '.join(node.outs)}}})"
-    if isinstance(node, AndJoin):
-        return f"andJoin({{{', '.join(node.ins)}}}, {node.out})"
-    if isinstance(node, XorJoin):
-        return f"xorJoin({{{', '.join(node.ins)}}}, {node.out})"
+    word = _KEYWORD_OF.get(type(node))
+    if isinstance(node, (AndSplit, XorSplit)) and word:
+        return f"{word}({node.inp}, {{{', '.join(node.outs)}}})"
+    if isinstance(node, (AndJoin, XorJoin)) and word:
+        return f"{word}({{{', '.join(node.ins)}}}, {node.out})"
     if isinstance(node, ChoreoTask):
         return f"task({node.inp}, {node.out}, {node.sender}->{node.receiver}:{node.message})"
     if isinstance(node, Task):
         return f"task({node.inp}, {node.out})"
-    if isinstance(node, TaskRcv):
-        return f"taskRcv({node.inp}, {node.out}, {_msg_ref(node)})"
-    if isinstance(node, TaskSnd):
-        return f"taskSnd({node.inp}, {node.out}, {_msg_ref(node)})"
-    if isinstance(node, InterRcv):
-        return f"interRcv({node.inp}, {node.out}, {_msg_ref(node)})"
-    if isinstance(node, InterSnd):
-        return f"interSnd({node.inp}, {node.out}, {_msg_ref(node)})"
+    if isinstance(node, (Send, Receive)) and word:
+        return f"{word}({node.inp}, {node.out}, {_msg_ref(node)})"
     if isinstance(node, EventBased):
         branches = ", ".join(f"({_msg_ref(b)}) {b.out}" for b in node.branches)
         return f"eventBased({node.inp}, {{{branches}}})"

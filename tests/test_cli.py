@@ -204,6 +204,13 @@ def test_lts_rejects_labels_aut_cannot_carry(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("error: label part 'pay (card)'") == 2
     assert not out.exists()
+    model.write_text(text.replace('name="req"', 'name="réservé"'), encoding="utf-8")
+    assert main(["lts", str(model)]) == 1
+    assert main(["lts", str(model), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: label part 'réservé'") == 2
+    assert not out.exists()
 
 
 def test_composition_failure_prints_the_same_report_from_both_commands(capsys):

@@ -5,13 +5,18 @@ import pytest
 from chorcheck import (
     Collaboration,
     CompositionError,
+    InterRcv,
+    InterSnd,
     MessageNameClash,
     SelfMessage,
+    TaskRcv,
+    TaskSnd,
     UnmatchedReceive,
     UnmatchedSend,
     compose,
     parse_collaboration,
     parse_process,
+    print_model,
     rcv_map,
     snd_map,
     well_composed,
@@ -177,3 +182,22 @@ def test_compose_is_permutation_equivariant():
         assert sorted(shuffled.pools, key=lambda p: p.name) == sorted(
             collab.pools, key=lambda p: p.name
         )
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_generated_tuples_print_back_and_keep_node_classes(seed):
+    # Send tasks and throw events (receive tasks and catch events) share one
+    # semantics; the notation each node was written in must survive
+    # printing, parsing and composition.
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(100):
+        processes, names = matched_process_tuple(rng)
+        collab = compose(processes, names)
+        for proc in processes:
+            assert parse_process(print_model(proc)) == proc
+        assert parse_collaboration(print_model(collab)) == collab
+        for proc, pool in zip(processes, collab.pools):
+            assert [type(n) for n in pool.nodes] == [type(n) for n in proc.nodes]
+            seen.update(type(n) for n in proc.nodes)
+    assert {TaskSnd, InterSnd, TaskRcv, InterRcv} <= seen

@@ -344,6 +344,10 @@ def test_export_rejects_unprintable_names():
     lts = Lts.make(2, 0, [(0, Comm('a"b', "c", "m"), 1)])
     with pytest.raises(ValueError):
         export_aut(lts)
+    # .aut is ASCII: a non-ASCII name is refused by name, not by the encoder.
+    lts = Lts.make(2, 0, [(0, Comm("a", "b", "réservé"), 1)])
+    with pytest.raises(ValueError, match="label part 'réservé'"):
+        export_aut(lts)
 
 
 def test_export_rejects_labels_that_would_read_back_differently():
