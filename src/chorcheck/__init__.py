@@ -9,6 +9,7 @@ from .model import (
     Collaboration,
     Comm,
     EventBased,
+    InputError,
     InterRcv,
     InterSnd,
     MessageEdge,

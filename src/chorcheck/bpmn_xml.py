@@ -314,10 +314,10 @@ def _lower_process(doc: BpmnDocument, container: ET.Element):
             locations[eid] = ("node", idx)
         elif tag == "eventBasedGateway":
             inp, targets = _event_branches(doc, flows, eid, _is_catch)
-            branches = tuple(
+            branches = tuple([
                 Branch(flows.one_out(t.get("id"), _local(t.tag)), _message(doc, t))
                 for t in targets
-            )
+            ])
             idx = add(EventBased(inp, branches))
             for pos, target in enumerate(targets):
                 locations[target.get("id")] = ("branch", idx, pos)
@@ -482,9 +482,14 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
 
     flows = _FlowGraph(choreo_el)
 
-    def task_comms(el: ET.Element) -> list[tuple[str, str, str]]:
-        """Exchanges of one choreography task: one entry, or request then response."""
+    def split_task(el: ET.Element) -> tuple[str, tuple[str, str, str], Optional[ChoreoTask]]:
+        """Lower a choreography task to (out edge, first exchange, response).
+
+        A one-way task has no response.  A two-way task's request leads to
+        a `<id>__link` edge, and its response task from there to `out`.
+        """
         eid = el.get("id", "")
+        out = flows.one_out(eid, "choreography task")
         if _has_loop_marker(el):
             raise UnsupportedElementError("choreography task with loop marker", eid)
         refs = [child.text.strip() for child in el if _local(child.tag) == "messageFlowRef"]
@@ -492,7 +497,7 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
             raise MalformedModelError(f"choreography task {eid!r} needs 1 or 2 message flows")
         comms = [flow_comm(r) for r in refs]
         if len(comms) == 1:
-            return comms
+            return out, comms[0], None
         initiator = participants.get(el.get("initiatingParticipantRef"))
         first = [c for c in comms if c[0] == initiator]
         second = [c for c in comms if c[0] != initiator]
@@ -500,7 +505,8 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
             raise MalformedModelError(
                 f"two-way task {eid!r} needs one initiating and one return message"
             )
-        return [first[0], second[0]]
+        link = f"{eid}__link"
+        return link, first[0], ChoreoTask(link, out, *second[0])
 
     absorbed = _absorbed(choreo_el, flows)
     nodes: list = []
@@ -514,33 +520,20 @@ def load_choreography(doc: BpmnDocument) -> Choreography:
             nodes.append(node)
         elif tag == "choreographyTask":
             inp = flows.one_in(eid, "choreography task")
-            out = flows.one_out(eid, "choreography task")
-            comms = task_comms(el)
-            if len(comms) == 1:
-                s, r, m = comms[0]
-                nodes.append(ChoreoTask(inp, out, s, r, m))
-            else:
-                link = f"{eid}__link"
-                (s1, r1, m1), (s2, r2, m2) = comms
-                nodes.append(ChoreoTask(inp, link, s1, r1, m1))
-                nodes.append(ChoreoTask(link, out, s2, r2, m2))
+            out, comm, response = split_task(el)
+            nodes.append(ChoreoTask(inp, out, *comm))
+            if response is not None:
+                nodes.append(response)
         elif tag == "eventBasedGateway":
             inp, targets = _event_branches(
                 doc, flows, eid, lambda t: _local(t.tag) == "choreographyTask"
             )
             branches = []
             for target in targets:
-                tid = target.get("id")
-                t_out = flows.one_out(tid, "choreography task")
-                comms = task_comms(target)
-                s, r, m = comms[0]
-                if len(comms) == 1:
-                    branches.append(Branch(t_out, m, s, r))
-                else:
-                    link = f"{tid}__link"
-                    branches.append(Branch(link, m, s, r))
-                    s2, r2, m2 = comms[1]
-                    nodes.append(ChoreoTask(link, t_out, s2, r2, m2))
+                out, (s, r, m), response = split_task(target)
+                branches.append(Branch(out, m, s, r))
+                if response is not None:
+                    nodes.append(response)
             nodes.append(EventBased(inp, tuple(sorted(branches, key=branch_key))))
         else:
             raise UnsupportedElementError(tag, eid)

@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -33,7 +34,7 @@ from .conformance import (
     saturate_pair,
     AutSyntaxError,
 )
-from .model import Choreography, Collaboration
+from .model import Choreography, Collaboration, InputError
 from .semantics import (
     DEFAULT_BOUNDS,
     BoundExceeded,
@@ -49,13 +50,15 @@ from .text_syntax import (
     print_model,
 )
 
+# Any other exception is a bug and propagates with its traceback.
 _INPUT_ERRORS = (
     OSError,
+    UnicodeDecodeError,  # a text or .aut file that is not UTF-8
     ParseError,
     MalformedModelError,
     UnsupportedElementError,
     AutSyntaxError,
-    ValueError,
+    InputError,
 )
 
 
@@ -89,14 +92,36 @@ def _load_side(path: str, fmt: str, kind: str):
 
 
 def _detect_kind(path: str, fmt: str) -> str:
-    fmt = _detect_format(path, fmt)
+    """The kind of a text or BPMN model file (`fmt` already detected)."""
+    text = _read(path)
     if fmt == "bpmn":
-        text = _read(path)
         return "choreography" if "<choreography" in text or ":choreography" in text else "collaboration"
-    if fmt == "text":
-        stripped = re.sub(r"//[^\n]*", "", _read(path)).lstrip()
-        return "collaboration" if stripped.startswith("pool") else "choreography"
-    raise ValueError("cannot infer the model kind of an .aut file; pass --kind")
+    stripped = re.sub(r"//[^\n]*", "", text).lstrip()
+    return "collaboration" if stripped.startswith("pool") else "choreography"
+
+
+def _load_model(path: str, fmt: str, kind: str):
+    """Load the model of `lts`, inferring its kind when `kind` is "auto"."""
+    if kind != "auto":
+        return _load_side(path, fmt, kind)
+    kind = _detect_kind(path, fmt)
+    try:
+        return _load_side(path, fmt, kind)
+    except ParseError:
+        if kind == "choreography" and _is_process(path):
+            raise InputError(
+                f"{path} is a single process, which has no LTS of its own;"
+                " compose it with its partners first (chorcheck compose)"
+            ) from None
+        raise
+
+
+def _is_process(path: str) -> bool:
+    try:
+        parse_process(_read(path))
+    except ParseError:
+        return False
+    return True
 
 
 def _bounds(args) -> ExplorationBounds:
@@ -121,7 +146,7 @@ def _add_bounds_flags(parser):
 def _split_names(raw: str) -> list[str]:
     names = [n.strip() for n in raw.split(",") if n.strip()]
     if not names:
-        raise ValueError("empty participant name list")
+        raise InputError("empty participant name list")
     return names
 
 
@@ -159,12 +184,11 @@ def cmd_compose(args) -> int:
 
 def cmd_lts(args) -> int:
     try:
-        if _detect_format(args.model, args.format) == "aut":
+        fmt = _detect_format(args.model, args.format)
+        if fmt == "aut":
             lts = parse_aut(_read(args.model))
         else:
-            kind = args.kind if args.kind != "auto" else _detect_kind(args.model, args.format)
-            model = _load_side(args.model, args.format, kind)
-            lts = generate_lts(model, _bounds(args))
+            lts = generate_lts(_load_model(args.model, fmt, args.kind), _bounds(args))
         data = export_aut(lts)
         if args.out:
             with open(args.out, "wb") as fh:
@@ -268,7 +292,9 @@ def cmd_check(args) -> int:
     return 0 if all(r.verdict for r in results) else 4
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first `main` call and kept."""
     parser = argparse.ArgumentParser(
         prog="chorcheck",
         description="Compose BPMN processes and check collaborations against choreographies.",
@@ -303,9 +329,12 @@ def main(argv=None) -> int:
     p_check.add_argument("--format", choices=("auto", "text", "bpmn", "aut"), default="auto")
     _add_bounds_flags(p_check)
     p_check.set_defaults(func=cmd_check)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     return args.func(args)

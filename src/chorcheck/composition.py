@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Union
 from .model import (
     Collaboration,
     EventBased,
+    InputError,
     Pool,
     Process,
     Send,
@@ -130,9 +131,9 @@ def rcv_map(processes: Sequence[Process], names: Sequence[str]) -> dict[str, str
 
 def _check_shapes(processes, names):
     if len(processes) != len(names):
-        raise ValueError("processes and participant names must have equal length")
+        raise InputError("processes and participant names must have equal length")
     if len(set(names)) != len(names):
-        raise ValueError("participant names must be pairwise distinct")
+        raise InputError("participant names must be pairwise distinct")
 
 
 def _resolve(node, snd: dict, rcv: dict):
@@ -150,7 +151,7 @@ def compose(processes: Sequence[Process], names: Sequence[str]) -> Collaboration
     """Compose processes into a collaboration, one pool per participant name.
 
     Raises CompositionError when the message names do not pair up into
-    point-to-point edges, and ValueError on malformed input (length mismatch,
+    point-to-point edges, and InputError on malformed input (length mismatch,
     duplicate participant names, edge ids shared across processes).
     """
     _check_shapes(processes, names)
@@ -158,7 +159,7 @@ def compose(processes: Sequence[Process], names: Sequence[str]) -> Collaboration
     dup_src, dup_tgt = duplicate_edges(all_nodes)
     if dup_src or dup_tgt:
         dup = (dup_src + dup_tgt)[0]
-        raise ValueError(f"edge id {dup!r} is used by more than one process")
+        raise InputError(f"edge id {dup!r} is used by more than one process")
 
     issues: list[CompositionIssue] = []
     snd: dict[str, str] = {}
@@ -183,10 +184,10 @@ def compose(processes: Sequence[Process], names: Sequence[str]) -> Collaboration
     if issues:
         raise CompositionError(sorted(issues, key=_issue_key))
 
-    pools = tuple(
-        Pool(name, tuple(_resolve(n, snd, rcv) for n in proc.nodes))
+    pools = tuple([
+        Pool(name, tuple([_resolve(n, snd, rcv) for n in proc.nodes]))
         for proc, name in zip(processes, names)
-    )
+    ])
     return Collaboration(pools)
 
 

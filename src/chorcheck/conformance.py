@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .model import TAU, Comm, Label, label_key
+from .model import TAU, Comm, InputError, Label, label_key
 from .semantics import Lts, hide
 
 
@@ -442,11 +442,11 @@ def _render_label(label: Label) -> str:
         return "tau"
     for part in (label.sender, label.receiver, label.message):
         if not part or not (part.isascii() and part.isprintable()) or set(part) & _FORBIDDEN:
-            raise ValueError(f"label part {part!r} contains characters unusable in .aut")
+            raise InputError(f"label part {part!r} contains characters unusable in .aut")
     # `sender->receiver:message` reads back by the first `->` and the first
     # `:` after it, so those may not occur earlier.
     if "->" in label.sender or ":" in label.receiver:
-        raise ValueError(f"label {label} would not read back from .aut unchanged")
+        raise InputError(f"label {label} would not read back from .aut unchanged")
     return f"{label.sender}->{label.receiver}:{label.message}"
 
 
@@ -486,7 +486,10 @@ def parse_aut(data: Union[bytes, str]) -> Lts:
     header = _HEADER_RE.match(lines[0].strip())
     if header is None:
         raise AutSyntaxError("missing des(initial, transitions, states) header", 1)
-    initial, n_trans, n_states = (int(g) for g in header.groups())
+    try:
+        initial, n_trans, n_states = (int(g) for g in header.groups())
+    except ValueError:  # more digits than `int` converts
+        raise AutSyntaxError("number too large in header", 1) from None
     body = [(i + 2, line.strip()) for i, line in enumerate(lines[1:]) if line.strip()]
     if len(body) != n_trans:
         raise AutSyntaxError(
@@ -502,7 +505,10 @@ def parse_aut(data: Union[bytes, str]) -> Lts:
         if m is None:
             raise AutSyntaxError(f"cannot read transition {line!r}", lineno)
         src, quoted, bare, tgt = m.groups()
-        src, tgt = int(src), int(tgt)
+        try:
+            src, tgt = int(src), int(tgt)
+        except ValueError:  # more digits than `int` converts, so out of range
+            src = tgt = n_states
         if src >= n_states or tgt >= n_states:
             raise AutSyntaxError("transition endpoint outside declared states", lineno)
         label_text = quoted if quoted is not None else bare

@@ -13,6 +13,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 
+class InputError(ValueError):
+    """A model, name or setting given by the user cannot be used as it is.
+
+    Raised only where user input reaches; any other ValueError is a bug.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Labels
 
@@ -247,11 +254,11 @@ class Collaboration:
     nodes: tuple[ProcNode, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        flat = tuple(n for pool in self.pools for n in pool.nodes)
+        flat = tuple([n for pool in self.pools for n in pool.nodes])
         object.__setattr__(self, "nodes", flat)
 
     def pool_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.pools)
+        return tuple([p.name for p in self.pools])
 
 
 Model = Union[Choreography, Process, Collaboration]
@@ -270,7 +277,7 @@ def source_edges(node) -> tuple[str, ...]:
     if isinstance(node, (ChoreoTask, Task, Send, Receive)):
         return (node.out,)
     if isinstance(node, EventBased):
-        return tuple(b.out for b in node.branches)
+        return tuple([b.out for b in node.branches])
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -35,6 +35,7 @@ from .model import (
     Comm,
     EndEvent,
     EventBased,
+    InputError,
     Label,
     MessageEdge,
     Receive,
@@ -59,7 +60,7 @@ class ExplorationBounds:
 
     def __post_init__(self):
         if min(self.max_tokens_per_edge, self.max_messages_per_edge, self.max_states) < 1:
-            raise ValueError("exploration bounds must be positive")
+            raise InputError("exploration bounds must be positive")
 
 
 DEFAULT_BOUNDS = ExplorationBounds()
@@ -120,7 +121,7 @@ class Lts:
                 raise ValueError(f"transition endpoint out of range: {(src, tgt)}")
         if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
-        return Lts(n_states, initial, tuple((s, labels[r], t) for s, r, t in uniq), states)
+        return Lts(n_states, initial, tuple([(s, labels[r], t) for s, r, t in uniq]), states)
 
     def labels(self) -> frozenset[Comm]:
         return frozenset(l for _, l, _ in self.transitions if isinstance(l, Comm))
@@ -200,16 +201,20 @@ def compile_net(model) -> Net:
     collab = isinstance(model, Collaboration)
     number: dict = {}
 
+    # Per-call tuples here and elsewhere are built from lists: a generator
+    # gives `tuple` no length hint, so the tuple is resized and later freed
+    # onto the free list of another size, which only a full collection
+    # empties (`test_repeated_checks_leave_no_memory_behind`).
     def numbered(names) -> tuple[int, ...]:
-        return tuple(number.setdefault(name, len(number)) for name in names)
+        return tuple([number.setdefault(name, len(number)) for name in names])
 
-    rules = tuple(
+    rules = tuple([
         Rule(i, numbered(pre), numbered(post), label)
         for i, node in enumerate(model.nodes)
         for pre, post, label in _node_rules(i, node, collab)
-    )
+    ])
     names = tuple(number)
-    initial = tuple(int(isinstance(name, int)) for name in names)
+    initial = tuple([int(isinstance(name, int)) for name in names])
     return Net(names, initial, rules)
 
 
@@ -222,10 +227,10 @@ def confluent_rules(net: Net) -> tuple[int, ...]:
     are visible, so neither is ever confluent.
     """
     consumers = Counter(p for rule in net.rules for p in rule.pre)
-    return tuple(
+    return tuple([
         i for i, rule in enumerate(net.rules)
         if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
-    )
+    ])
 
 
 def _fire(marking: tuple[int, ...], pre, post) -> tuple[int, ...]:
@@ -345,7 +350,7 @@ def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
     out = []
     changed = False
     for src, run in groupby(lts.transitions, key=itemgetter(0)):
-        run = tuple(run)
+        run = list(run)
         if any(label in hidden for _, label, _ in run):
             changed = True
             taus = {tgt for _, label, tgt in run if label == TAU or label in hidden}

@@ -28,6 +28,7 @@ from .model import (
     Collaboration,
     EndEvent,
     EventBased,
+    InputError,
     InterRcv,
     InterSnd,
     Pool,
@@ -387,7 +388,7 @@ _NAME_KIND = {"message": "message", "sender": "participant", "receiver": "partic
 
 def _check_name(what: str, name) -> None:
     if name is not None and not _IDENT_RE.fullmatch(name):
-        raise ValueError(f"{what} {name!r} is not an identifier of the text syntax")
+        raise InputError(f"{what} {name!r} is not an identifier of the text syntax")
 
 
 def _check_names(node) -> None:
@@ -433,7 +434,7 @@ def _node_text(node) -> str:
 def print_model(model) -> str:
     """Canonical text for a model; parsing it back yields an equal structure.
 
-    Raises ValueError naming the first pool, participant, message or edge
+    Raises InputError naming the first pool, participant, message or edge
     name that is not an identifier of the text syntax (a BPMN name such as
     `Customer A`), rather than printing text that would not parse back.
     """

@@ -1,4 +1,33 @@
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import chorcheck
+from chorcheck import (
+    TAU,
+    AndJoin,
+    Choreography,
+    Comm,
+    ExplorationBounds,
+    InputError,
+    Lts,
+    Process,
+    TaskRcv,
+    cli,
+    compose,
+    export_aut,
+    generate_lts,
+    hide,
+    parse_choreography,
+    print_model,
+)
 from chorcheck.cli import main
+from chorcheck.conformance import saturate_pair
 from conftest import GOLDEN, fixture_path
 
 
@@ -230,3 +259,206 @@ def test_lts_bound_report_names_the_edge_and_progress(capsys):
         "error: tokens bound exceeded: edge 'w3' would hold 3 tokens"
         " (10 states reached, 1 not yet expanded)\n"
     )
+
+
+def test_lts_of_a_process_file_says_it_must_be_composed(capsys):
+    path = fx("bank.txt")
+    assert main(["lts", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is a single process, which has no LTS of its own;"
+        " compose it with its partners first (chorcheck compose)\n"
+    )
+
+
+def test_lts_of_a_malformed_choreography_keeps_its_parse_error(tmp_path, capsys):
+    model = tmp_path / "bad.txt"
+    model.write_text("start(a) | taskRcv(a, b, m) | task(b, c, A->B:m) | end(c, d)")
+    assert main(["lts", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        "error: taskRcv is not a choreography element (at offset 11)\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Input errors and bugs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExplorationBounds(max_states=0),
+    lambda: compose([Process(()), Process(())], ["a", "a"]),
+    lambda: compose([Process(())], ["a", "b"]),
+    lambda: print_model(compose([Process(())], ["Customer A"])),
+    lambda: export_aut(Lts(2, 0, ((0, Comm("a", "b", "pay (card)"), 1),))),
+], ids=["bounds", "duplicate names", "shape", "identifier", "aut label"])
+def test_user_input_errors_have_their_own_type(make):
+    with pytest.raises(InputError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hide(generate_lts(parse_choreography("start(a) | end(a, b)")), {TAU}),
+    lambda: saturate_pair(*saturate_pair(Lts(1, 0, ()), Lts(1, 0, ())),
+                          {Comm("a", "b", "m")}),
+    lambda: TaskRcv("a", "b", "m").edge(),
+    lambda: generate_lts(Choreography((AndJoin(("a", "a"), "b"),))),
+], ids=["hide tau", "hide after saturation", "unresolved receive", "self join"])
+def test_internal_errors_are_not_input_errors(make):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert not isinstance(info.value, InputError)
+
+
+def test_internal_value_error_is_not_reported_as_an_input_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal inconsistency")
+
+    monkeypatch.setattr(cli, "generate_lts", broken)
+    with pytest.raises(ValueError, match="internal inconsistency"):
+        main(["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt")])
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    model = tmp_path / "latin1.txt"
+    model.write_bytes("start(a) | end(a, b) // café".encode("latin-1"))
+    assert main(["lts", str(model)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_bounds_flags_reject_zero(capsys):
+    assert main(["lts", fx("minimal_choreography.txt"), "--max-states", "0"]) == 1
+    assert capsys.readouterr().err == "error: exploration bounds must be positive\n"
+
+
+# ---------------------------------------------------------------------------
+# One parser for every call in a process
+
+
+def fresh_run(argv):
+    """Exit code, stdout and stderr of `chorcheck argv` in a new interpreter."""
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "chorcheck.cli", *argv],
+        capture_output=True, encoding="utf-8", env=env,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def in_process(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    # argparse wraps help to the terminal width; pin it for both runs.
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_help_is_the_same_on_every_call(capsys, columns):
+    expected = fresh_run(["--help"])
+    assert expected[0] == 0 and expected[1].startswith("usage: chorcheck")
+    assert in_process(["--help"], capsys) == expected
+    assert in_process(["--help"], capsys) == expected
+
+
+def test_usage_error_after_a_successful_call(capsys, columns):
+    ok = ["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt")]
+    bad = ["check", fx("two_messages_choreography.txt"), "--relation", "neither"]
+    assert in_process(ok, capsys) == fresh_run(ok)
+    code, out, err = in_process(bad, capsys)
+    assert (code, out, err) == fresh_run(bad)
+    assert code == 1 and "invalid choice: 'neither'" in err
+
+
+def test_relation_choice_does_not_stick(capsys):
+    tbc = check_args("acf", "--relation", "tbc", "--report", "lines")
+    both = check_args("acf", "--report", "lines")
+    assert in_process(tbc, capsys) == fresh_run(tbc)
+    code, out, err = in_process(both, capsys)
+    assert (code, out, err) == fresh_run(both)
+    assert [line.split()[0] for line in out.splitlines()] == ["tbc", "bbc"]
+
+
+def test_lts_to_a_file_then_to_stdout(tmp_path, capsys):
+    out = tmp_path / "model.aut"
+    to_file = ["lts", fx("booking_choreography.txt"), "-o", str(out)]
+    to_stdout = ["lts", fx("booking_choreography.txt")]
+    assert in_process(to_file, capsys) == (0, "", "14 states, 13 transitions\n")
+    written = out.read_bytes()
+    out.unlink()
+    assert fresh_run(to_file) == (0, "", "14 states, 13 transitions\n")
+    assert out.read_bytes() == written == (GOLDEN / "booking_choreography.aut").read_bytes()
+    code, stdout, err = in_process(to_stdout, capsys)
+    assert (code, stdout, err) == fresh_run(to_stdout)
+    assert stdout.encode("ascii") == written
+
+
+def test_patched_module_names_take_effect_after_the_parser_exists(monkeypatch, capsys):
+    argv = ["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt")]
+    assert main(argv) == 0
+    seen = []
+
+    def counting(model, bounds, **kwargs):
+        seen.append(kwargs)
+        return generate_lts(model, bounds, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_lts", counting)
+    assert main(argv) == 0
+    assert seen == [{"reduce": True}, {"reduce": True}]
+
+
+# The paper's case studies, as `check` calls (those of `test_acceptance.py`).
+CASE_STUDY_PAIRS = [
+    ("two_messages_choreography.txt", "two_messages_inorder.txt"),
+    ("two_messages_choreography.txt", "two_messages_reversed.txt"),
+    ("two_messages_choreography.txt", "two_messages_dropped.txt"),
+    ("two_messages_choreography.txt", "two_messages_parallel.txt"),
+    ("race_choreography.txt", "race_collaboration.txt"),
+    ("race_choreography.txt", "race_collaboration_uncoordinated.txt"),
+    ("request_response_choreography.txt", "request_response_direct.txt"),
+    ("request_response_choreography.txt", "request_response_early_reply.txt"),
+    ("request_response_choreography.txt", "request_response_guarded.txt"),
+    ("drink_shopping_choreography.txt", "drink_shopping_collaboration.txt"),
+    ("booking_choreography.txt", "booking_collaboration.txt"),
+    ("booking_choreography.bpmn", "booking_collaboration.bpmn"),
+    ("booking_choreography.bpmn", "booking_collaboration_ack.bpmn"),
+]
+
+
+def test_repeated_checks_leave_no_memory_behind(capsys):
+    """A long run of in-process calls keeps its memory flat.
+
+    With `gc` off, nothing a call leaves in a reference cycle is freed, and
+    a tuple built from a generator (no length hint) is parked on the free
+    list of its final size, which only a full collection empties.  Both show
+    as traced memory that grows with the number of calls.
+    """
+    calls = [check_args(letters, "--report", "lines")
+             for letters in ("abd", "abe", "abf", "acd", "ace", "acf")]
+    calls += [["check", fx(ch), fx(col), "--report", "lines"]
+              for ch, col in CASE_STUDY_PAIRS]
+
+    def run(argvs):
+        for argv in argvs:
+            main(argv)
+            capsys.readouterr()
+
+    was_tracing = tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run(calls * 2)  # warm-up: caches, interned names, free lists in use
+        before = tracemalloc.get_traced_memory()[0]
+        run((calls * 6)[:100])
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+        gc.enable()
+    assert growth < 40 * 1024, f"{growth} bytes more after 100 calls"

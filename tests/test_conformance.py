@@ -335,6 +335,14 @@ def test_out_of_range_endpoint_rejected():
         parse_aut('des (0,1,2)\n(0,"tau",5)\n')
 
 
+def test_numbers_too_long_for_int_rejected():
+    huge = "1" + "0" * 5000  # beyond the interpreter's int digit limit
+    with pytest.raises(AutSyntaxError, match="line 1"):
+        parse_aut(f"des (0, 0, {huge})\n")
+    with pytest.raises(AutSyntaxError, match="outside declared states.*line 2"):
+        parse_aut(f'des (0,1,2)\n(0,"tau",{huge})\n')
+
+
 def test_unparseable_label_rejected():
     with pytest.raises(AutSyntaxError):
         parse_aut('des (0,1,2)\n(0,"justaword",1)\n')
