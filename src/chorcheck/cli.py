@@ -34,11 +34,12 @@ from .conformance import (
     saturate_pair,
     AutSyntaxError,
 )
-from .model import Choreography, Collaboration, InputError
+from .model import Choreography, Collaboration, InputError, labels_collab
 from .semantics import (
     DEFAULT_BOUNDS,
     BoundExceeded,
     ExplorationBounds,
+    Lts,
     generate_lts,
     hiding_set,
 )
@@ -77,20 +78,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_side(path: str, fmt: str, kind: str):
-    """Load one input: a model, or an `Lts` for an .aut file."""
-    fmt = _detect_format(path, fmt)
-    if fmt == "aut":
-        return parse_aut(_read(path))
-    if fmt == "bpmn":
-        doc = BpmnDocument.from_path(path)
-        return load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
-    text = _read(path)
-    if kind == "choreography":
-        return parse_choreography(text)
-    return parse_collaboration(text)
-
-
 def _detect_kind(path: str, fmt: str) -> str:
     """The kind of a text or BPMN model file (`fmt` already detected)."""
     text = _read(path)
@@ -101,14 +88,27 @@ def _detect_kind(path: str, fmt: str) -> str:
 
 
 def _load_model(path: str, fmt: str, kind: str):
-    """Load the model of `lts`, inferring its kind when `kind` is "auto"."""
-    if kind != "auto":
-        return _load_side(path, fmt, kind)
-    kind = _detect_kind(path, fmt)
+    """Load one input: a model, or an `Lts` for an .aut file.
+
+    `kind` "auto" infers a model's kind from the file.  A text file holding
+    a single process is refused as a choreography, since a process has no
+    behaviour of its own until it is composed with its partners.
+    """
+    fmt = _detect_format(path, fmt)
+    if fmt == "aut":
+        return parse_aut(_read(path))
+    if kind == "auto":
+        kind = _detect_kind(path, fmt)
+    if fmt == "bpmn":
+        doc = BpmnDocument.from_path(path)
+        return load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
+    text = _read(path)
+    if kind == "collaboration":
+        return parse_collaboration(text)
     try:
-        return _load_side(path, fmt, kind)
+        return parse_choreography(text)
     except ParseError:
-        if kind == "choreography" and _is_process(path):
+        if _is_process(text):
             raise InputError(
                 f"{path} is a single process, which has no LTS of its own;"
                 " compose it with its partners first (chorcheck compose)"
@@ -116,9 +116,9 @@ def _load_model(path: str, fmt: str, kind: str):
         raise
 
 
-def _is_process(path: str) -> bool:
+def _is_process(text: str) -> bool:
     try:
-        parse_process(_read(path))
+        parse_process(text)
     except ParseError:
         return False
     return True
@@ -184,11 +184,9 @@ def cmd_compose(args) -> int:
 
 def cmd_lts(args) -> int:
     try:
-        fmt = _detect_format(args.model, args.format)
-        if fmt == "aut":
-            lts = parse_aut(_read(args.model))
-        else:
-            lts = generate_lts(_load_model(args.model, fmt, args.kind), _bounds(args))
+        lts = _load_model(args.model, args.format, args.kind)
+        if not isinstance(lts, Lts):
+            lts = generate_lts(lts, _bounds(args))
         data = export_aut(lts)
         if args.out:
             with open(args.out, "wb") as fh:
@@ -234,7 +232,7 @@ def _print_verdict(result, report: str):
 
 def cmd_check(args) -> int:
     try:
-        choreo = _load_side(args.choreography, args.format, "choreography")
+        choreo = _load_model(args.choreography, args.format, "choreography")
 
         if args.processes:
             if args.collaboration:
@@ -252,27 +250,32 @@ def cmd_check(args) -> int:
             except CompositionError as err:
                 return _not_composable(err)
         elif args.collaboration:
-            collab = _load_side(args.collaboration, args.format, "collaboration")
+            collab = _load_model(args.collaboration, args.format, "collaboration")
         else:
             print("error: a collaboration file or --processes is required",
                   file=sys.stderr)
             return 1
 
-        # Both sides are explored with priority to confluent silent steps:
-        # the reduced systems are branching bisimilar to the full ones, so
-        # verdicts and counterexamples stay the same.
+        # Each model is explored as the representatives of its confluent
+        # silent steps, and the collaboration's labels that the choreography
+        # does not mention, which are hidden before the comparison, count as
+        # silent there.  The reduced systems are branching bisimilar to the
+        # full ones once those labels are hidden, so verdicts and TBC
+        # counterexamples stay the same; the BBC witness is picked by state
+        # number, so on rare models another valid one comes out.
         bounds = _bounds(args)
         if isinstance(choreo, Choreography):
             choreo_lts = generate_lts(choreo, bounds, reduce=True)
         else:
             choreo_lts = choreo
         if isinstance(collab, Collaboration):
-            collab_lts = generate_lts(collab, bounds, reduce=True)
+            if isinstance(choreo, Choreography):
+                hidden = hiding_set(choreo, collab)
+            else:
+                hidden = labels_collab(collab) - choreo_lts.labels()
+            collab_lts = generate_lts(collab, bounds, reduce=True, hidden=hidden)
         else:
             collab_lts = collab
-        if isinstance(choreo, Choreography) and isinstance(collab, Collaboration):
-            hidden = hiding_set(choreo, collab)
-        else:
             hidden = collab_lts.labels() - choreo_lts.labels()
     except BoundExceeded as err:
         print(f"error: {err}", file=sys.stderr)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .model import TAU, Comm, InputError, Label, label_key
-from .semantics import Lts, hide
+from .semantics import Lts, _sccs, hide
 
 
 # ---------------------------------------------------------------------------
@@ -46,47 +46,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _tau_sccs(adj: list[list[int]]) -> tuple[list[int], int]:
-    """Strongly connected components by Tarjan's algorithm, without recursion.
-
-    Returns the component number of every node and the number of components.
-    Components are numbered sinks first: every edge leaving a component
-    points to one with a smaller number.
-    """
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # -1 while unassigned: a visited node is then on `stack`
-    stack: list[int] = []
-    counter = n_comp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter = counter + 1
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, succ = work[-1]
-            for w in succ:
-                if index[w] < 0:
-                    index[w] = low[w] = counter = counter + 1
-                    stack.append(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if comp[w] < 0:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while comp[v] < 0:
-                        comp[stack.pop()] = n_comp
-                    n_comp += 1
-    return comp, n_comp
 
 
 class WeakLts:
@@ -114,7 +73,7 @@ class WeakLts:
                 tau_adj[src].append(tgt)
             else:
                 strong.setdefault(label, {}).setdefault(src, []).append(tgt)
-        self._comp, n_comp = _tau_sccs(tau_adj)
+        self._comp, n_comp = _sccs(tau_adj)
         below: list[set[int]] = [set() for _ in range(n_comp)]
         for s, targets in enumerate(tau_adj):
             below[self._comp[s]].update(self._comp[t] for t in targets)
@@ -186,20 +145,6 @@ class WeakLts:
                 for y in targets:
                     visible[x] |= reach[y] << shift[label]
         return [r | v for r, v in zip(reach, self._over_closure(visible))]
-
-    # -- weak trace helpers -------------------------------------------------
-
-    def trace_states(self, trace: Sequence[Comm]) -> frozenset[int]:
-        """States reachable from the initial state by weakly executing `trace`."""
-        current = self._cl[self.initial]
-        for label in trace:
-            current = self._post(current, label)
-            if not current:
-                break
-        return frozenset(_bits(current))
-
-    def admits_trace(self, trace: Sequence[Comm]) -> bool:
-        return bool(self.trace_states(trace))
 
 
 def saturate(lts: Lts) -> WeakLts:

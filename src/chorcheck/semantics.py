@@ -13,8 +13,9 @@ consumes it under the visible label.
 `generate_lts` explores the reachable markings breadth-first into a finite
 labelled transition system with deterministic state numbering, failing
 loudly (BoundExceeded) instead of truncating when a model is unbounded.
-With `reduce=True` it gives priority to confluent silent rules (see
-`confluent_rules`) and returns a smaller, branching-bisimilar system.
+With `reduce=True` it visits one representative per class of markings
+joined by confluent silent steps (see `confluent_rules`) and returns a
+smaller, branching-bisimilar system whose states are reachable markings.
 """
 
 from __future__ import annotations
@@ -72,10 +73,13 @@ class BoundExceeded(Exception):
     `states` counts the states reached when exploration stopped and
     `frontier` those of them still waiting to be expanded.  Under
     `generate_lts(..., reduce=True)` the bounds apply to the reduced
-    exploration: the state bound counts reduced states, and a token or
-    message bound is only met on markings the reduced exploration reaches.
-    Those markings are all reachable, so full exploration then fails a
-    bound too; the reverse need not hold.
+    exploration: the state bound counts representatives, and the token and
+    message bounds are checked on every marking it passes through, those
+    between a representative's step and the representative of its target
+    included (when the initial marking's own representative cannot be
+    reached, no state has been reached yet).  All those markings are
+    reachable, so full exploration then fails a bound too, though possibly
+    the state bound first; the reverse need not hold.
     """
 
     def __init__(self, kind: str, detail: str, states: int, frontier: int):
@@ -218,38 +222,177 @@ def compile_net(model) -> Net:
     return Net(names, initial, rules)
 
 
-def confluent_rules(net: Net) -> tuple[int, ...]:
+def confluent_rules(net: Net, hidden: Iterable[Comm] = ()) -> tuple[int, ...]:
     """Indices of the rules that are silent and sole consumers of their pre-places.
 
-    Once such a rule is enabled no other rule can disable it, and firing it
-    disables no other rule, so it commutes with every other step: it is
-    τ-confluent.  XOR splits share their pre-place and event-based branches
-    are visible, so neither is ever confluent.
+    A rule labelled with one of the `hidden` labels counts as silent, since
+    it is made silent before the system is compared (see `hide`).  Once such
+    a rule is enabled no other rule can disable it, and firing it disables
+    no other rule, so it commutes with every other step: it is τ-confluent.
+    XOR splits share their pre-place, so they are never confluent; a receive
+    is confluent only when hidden.
     """
+    hidden = frozenset(hidden)
     consumers = Counter(p for rule in net.rules for p in rule.pre)
     return tuple([
         i for i, rule in enumerate(net.rules)
-        if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
+        if (rule.label == TAU or rule.label in hidden)
+        and all(consumers[p] == 1 for p in rule.pre)
     ])
 
 
-def _fire(marking: tuple[int, ...], pre, post) -> tuple[int, ...]:
-    """The marking after a rule fires (`generate_lts` inlines this in its
-    main loop, which runs once per transition)."""
-    nxt = list(marking)
-    for p in pre:
-        nxt[p] -= 1
-    for p in post:
-        nxt[p] += 1
-    return tuple(nxt)
+def _sccs(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Strongly connected components by Tarjan's algorithm, without recursion.
+
+    Returns the component number of every node and the number of components.
+    Components are numbered sinks first: every edge leaving a component
+    points to one with a smaller number.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # -1 while unassigned: a visited node is then on `stack`
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter = counter + 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:
+                    index[w] = low[w] = counter = counter + 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = n_comp
+                    n_comp += 1
+    return comp, n_comp
 
 
 # ---------------------------------------------------------------------------
 # LTS generation
 
 
+class _Overflow(Exception):
+    """Place `place` would hold `count` tokens, more than its bound."""
+
+    def __init__(self, place: int, count: int):
+        self.place = place
+        self.count = count
+
+
+class _Confluence:
+    """Takes markings to their representatives (see `generate_lts`).
+
+    `rules` holds `(pre, post)` for each confluent rule.  A place has at most
+    one confluent consumer, so `feeds(post)` names the rules a firing into
+    `post` can enable, and `settle` re-tests only those.  Rules on a cycle
+    of the confluent rule graph (a pool looping through `xorJoin` and `task`
+    with no exit) could fire for ever, so `feeds` leaves them out; when
+    there are any, `settle` then explores the confluent graph of the marking
+    it reached and returns the least marking of its one bottom SCC.  Every
+    marking passed through is checked against `caps`.
+    """
+
+    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int]):
+        self.rules = rules
+        self.caps = caps
+        consumer = {p: j for j, (pre, _) in enumerate(rules) for p in pre}
+        graph = [[consumer[p] for p in post if p in consumer] for _, post in rules]
+        comp, _ = _sccs(graph)
+        size = Counter(comp)
+        cyclic = {j for j, succ in enumerate(graph) if size[comp[j]] > 1 or j in succ}
+        self.cyclic = bool(cyclic)
+        self._consumer = {p: j for p, j in consumer.items() if j not in cyclic}
+        # (pre, post, fed) per rule off the cycles, with `fed` the rules that
+        # consume from `post`, built sinks first so that these exist already.
+        self._built = {}
+        for j in sorted(set(range(len(rules))) - cyclic, key=comp.__getitem__):
+            pre, post = rules[j]
+            self._built[j] = (pre, post, self.feeds(post))
+
+    def feeds(self, post) -> tuple:
+        """The confluent rules off the cycles that consume from `post`."""
+        return tuple([self._built[self._consumer[p]] for p in post if p in self._consumer])
+
+    def settle(self, m: list, fed: tuple) -> tuple:
+        """The representative of marking `m` (a list, changed in place).
+
+        Of the confluent rules off the cycles, only those in `fed` may be
+        enabled in `m`.
+        """
+        caps = self.caps
+        todo = list(fed)
+        while todo:
+            pre, post, more = todo.pop()
+            while True:  # fire the rule as long as it is enabled
+                for p in pre:
+                    if not m[p]:
+                        break
+                else:
+                    for p in pre:
+                        m[p] -= 1
+                    for p in post:
+                        m[p] += 1
+                    for p in post:
+                        if m[p] > caps[p]:
+                            raise _Overflow(p, m[p])
+                    todo += more
+                    continue
+                break
+        return self._bottom(tuple(m)) if self.cyclic else tuple(m)
+
+    def _bottom(self, start: tuple) -> tuple:
+        """The least marking of the one bottom SCC of `start`'s confluent graph.
+
+        `start` reaches every marking explored, so the first component
+        Tarjan's algorithm completes (number 0) is that bottom SCC.
+        """
+        caps = self.caps
+        seen = {start: 0}
+        order = [start]
+        graph = []
+        for m in order:  # grows as new markings are found
+            succ = []
+            for pre, post in self.rules:
+                if all(m[p] for p in pre):
+                    nxt = list(m)
+                    for p in pre:
+                        nxt[p] -= 1
+                    for p in post:
+                        nxt[p] += 1
+                    for p in post:
+                        if nxt[p] > caps[p]:
+                            raise _Overflow(p, nxt[p])
+                    nxt = tuple(nxt)
+                    if nxt not in seen:
+                        seen[nxt] = len(order)
+                        order.append(nxt)
+                    succ.append(seen[nxt])
+            graph.append(succ)
+        comp, _ = _sccs(graph)
+        return min([m for m, c in zip(order, comp) if c == 0])
+
+
 def generate_lts(
-    model, bounds: ExplorationBounds = DEFAULT_BOUNDS, *, reduce: bool = False
+    model,
+    bounds: ExplorationBounds = DEFAULT_BOUNDS,
+    *,
+    reduce: bool = False,
+    hidden: Iterable[Comm] = (),
 ) -> Lts:
     """Explore the reachable markings of a model into an LTS.
 
@@ -258,14 +401,20 @@ def generate_lts(
     transition lists.  Only the places a rule produces into can grow, so the
     token and message bounds are checked on those alone.
 
-    With `reduce`, a state whose first enabled confluent rule (in rule
-    order) leads to a marking not yet discovered takes that step alone;
-    every other state expands in full.  Confluent steps commute with all
-    others, and a prioritised step always discovers a new state, so no
-    cycle of prioritised steps can postpone another move for ever: the
-    result is branching bisimilar to the full LTS and a sub-LTS of it
-    (Groote & van de Pol 2000).  The bounds then apply to the reduced
-    exploration (see `BoundExceeded`).
+    With `reduce`, exploration visits representatives only (Groote & van de
+    Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
+    `confluent_rules`, where `hidden` names the labels that will be hidden)
+    commute with every other step and no step disables them, so the markings
+    joined by confluent steps fall into classes with one bottom SCC each; a
+    class is represented by the least marking of that SCC, which without a
+    confluent cycle is simply the marking in which no confluent rule is
+    enabled.  From each representative, each enabled non-confluent rule
+    fires once and leads to the representative of its target.  Confluent
+    steps are left out, so the result has no τ-transitions apart from XOR
+    splits.  It is branching bisimilar to the full LTS (once `hidden` is
+    hidden in both), and every state is a reachable marking.  The bounds
+    then apply to the reduced exploration (see `BoundExceeded`).  `hidden`
+    has no effect without `reduce`.
     """
     net = compile_net(model)
     caps = [
@@ -275,51 +424,62 @@ def generate_lts(
     ]
     labels = sorted({rule.label for rule in net.rules}, key=label_key)
     rank = {label: r for r, label in enumerate(labels)}
-    rules = [(rule.pre, rule.post, rank[rule.label]) for rule in net.rules]
-    prio = [rules[i] for i in confluent_rules(net)] if reduce else []
+    rules = [(rule.pre, rule.post, rank[rule.label], ()) for rule in net.rules]
+    settle = None
+    if reduce:
+        chosen = set(confluent_rules(net, hidden))
+        confluence = _Confluence([rules[i][:2] for i in sorted(chosen)], caps)
+        settle = confluence.settle
+        rules = [
+            (pre, post, r, confluence.feeds(post))
+            for i, (pre, post, r, _) in enumerate(rules) if i not in chosen
+        ]
     max_states = bounds.max_states
 
-    states = [net.initial]
-    index = {net.initial: 0}
+    states = []
+    index = {}
     transitions = []
-    src = 0
-    while src < len(states):
-        marking = states[src]
-        todo = rules
-        for pre, post, r in prio:
-            if all(marking[p] for p in pre):
-                if _fire(marking, pre, post) not in index:
-                    todo = ((pre, post, r),)
-                break
-        steps = []
-        for pre, post, r in todo:
-            for p in pre:
-                if not marking[p]:
-                    break
-            else:
-                nxt = list(marking)
+    src = -1  # nothing expanded until the initial state exists
+    try:
+        initial = net.initial
+        if settle:
+            initial = settle(list(initial), confluence.feeds(range(len(caps))))
+        states.append(initial)
+        index[initial] = 0
+        src = 0
+        while src < len(states):
+            marking = states[src]
+            steps = []
+            for pre, post, r, fed in rules:
                 for p in pre:
-                    nxt[p] -= 1
-                for p in post:
-                    nxt[p] += 1
-                for p in post:
-                    if nxt[p] > caps[p]:
-                        raise _overflow(net.places[p], nxt[p], len(states), src)
-                nxt = tuple(nxt)
-                tgt = index.get(nxt)
-                if tgt is None:
-                    tgt = len(states)
-                    if tgt >= max_states:
-                        raise BoundExceeded(
-                            "states", f"more than {max_states} reachable states",
-                            tgt, tgt - src - 1,
-                        )
-                    index[nxt] = tgt
-                    states.append(nxt)
-                steps.append((r, tgt))
-        for r, tgt in sorted(set(steps)):
-            transitions.append((src, labels[r], tgt))
-        src += 1
+                    if not marking[p]:
+                        break
+                else:
+                    nxt = list(marking)
+                    for p in pre:
+                        nxt[p] -= 1
+                    for p in post:
+                        nxt[p] += 1
+                    for p in post:
+                        if nxt[p] > caps[p]:
+                            raise _Overflow(p, nxt[p])
+                    nxt = settle(nxt, fed) if settle else tuple(nxt)
+                    tgt = index.get(nxt)
+                    if tgt is None:
+                        tgt = len(states)
+                        if tgt >= max_states:
+                            raise BoundExceeded(
+                                "states", f"more than {max_states} reachable states",
+                                tgt, tgt - src - 1,
+                            )
+                        index[nxt] = tgt
+                        states.append(nxt)
+                    steps.append((r, tgt))
+            for r, tgt in sorted(set(steps)):
+                transitions.append((src, labels[r], tgt))
+            src += 1
+    except _Overflow as err:
+        raise _overflow(net.places[err.place], err.count, len(states), src) from None
     return Lts(len(states), 0, tuple(transitions), tuple(states))
 
 

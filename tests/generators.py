@@ -28,6 +28,7 @@ from chorcheck import (
     TaskRcv,
     TaskSnd,
     XorJoin,
+    XorSplit,
 )
 from chorcheck.model import branch_key
 
@@ -56,6 +57,36 @@ def matched_tuple_pair(rng: random.Random, max_pools: int = 4):
         if rng.random() < 0.3:
             rng.shuffle(acts)
     second = [Process(tuple(_chain(rng, f"q{i}", acts))) for i, acts in enumerate(actions)]
+    return first, second, [f"p{i}" for i in range(len(actions))]
+
+
+def xor_tuple_pair(rng: random.Random, max_pools: int = 4):
+    """`matched_tuple_pair` with XOR choices and silent loops.
+
+    Each pool of the second tuple is the first one's with probability 0.5
+    and is drawn afresh otherwise.
+    A run of one or two actions in a pool may become a choice: an XOR split
+    whose two branches take the run's two halves (an empty half is a silent
+    task) and join again.  A message on the branch not taken is never sent
+    or received, so choices can leave partners waiting for ever.  A pool may
+    also pass through a silent loop with an exit (XOR join, task, XOR split
+    back to the join), or end in a silent loop with no exit, which cycles
+    through confluent rules for ever while the other pools move.  No loop
+    sends, so every run stays within the default bounds.
+    """
+    actions = _matched_actions(rng, max_pools)
+    first = []
+    for i, acts in enumerate(actions):
+        rng.shuffle(acts)
+        first.append(Process(tuple(_xor_chain(rng, f"q{i}", acts))))
+    second = []
+    for i, acts in enumerate(actions):
+        if rng.random() < 0.5:
+            second.append(first[i])
+            continue
+        if rng.random() < 0.3:
+            rng.shuffle(acts)
+        second.append(Process(tuple(_xor_chain(rng, f"q{i}", acts))))
     return first, second, [f"p{i}" for i in range(len(actions))]
 
 
@@ -113,11 +144,7 @@ def _chain(rng: random.Random, prefix: str, acts: list):
             nodes.append(XorJoin(tuple(sorted((o1, o2))), nxt))
             idx += 2
         else:
-            if kind == "snd":
-                cls = TaskSnd if rng.random() < 0.7 else InterSnd
-            else:
-                cls = TaskRcv if rng.random() < 0.7 else InterRcv
-            nodes.append(cls(cur, nxt, msg))
+            nodes.append(_message_node(rng, kind, cur, nxt, msg))
             idx += 1
         cur = nxt
         if rng.random() < 0.15:
@@ -125,6 +152,63 @@ def _chain(rng: random.Random, prefix: str, acts: list):
             nodes.append(Task(cur, nxt))
             cur = nxt
     nodes.append(EndEvent(cur, edge()))
+    return nodes
+
+
+def _message_node(rng: random.Random, kind: str, inp: str, out: str, msg: str):
+    if kind == "snd":
+        return (TaskSnd if rng.random() < 0.7 else InterSnd)(inp, out, msg)
+    return (TaskRcv if rng.random() < 0.7 else InterRcv)(inp, out, msg)
+
+
+def _xor_chain(rng: random.Random, prefix: str, acts: list):
+    counter = [0]
+
+    def edge():
+        counter[0] += 1
+        return f"{prefix}_{counter[0]}"
+
+    def straight(cur, run):
+        """Append `run` in sequence from edge `cur` (a silent task if it is
+        empty) and return the last edge."""
+        if not run:
+            nxt = edge()
+            nodes.append(Task(cur, nxt))
+            return nxt
+        for kind, msg in run:
+            nxt = edge()
+            nodes.append(_message_node(rng, kind, cur, nxt, msg))
+            cur = nxt
+        return cur
+
+    cur = edge()
+    nodes = [StartEvent(cur)]
+    idx = 0
+    while idx < len(acts):
+        if rng.random() < 0.4:
+            run = acts[idx:idx + rng.randint(1, 2)]
+            cut = rng.randint(0, len(run))
+            left, right = edge(), edge()
+            nodes.append(XorSplit(cur, tuple(sorted((left, right)))))
+            ends = (straight(left, run[:cut]), straight(right, run[cut:]))
+            cur = edge()
+            nodes.append(XorJoin(tuple(sorted(ends)), cur))
+            idx += len(run)
+        else:
+            cur = straight(cur, acts[idx:idx + 1])
+            idx += 1
+        if rng.random() < 0.15:
+            back, body, after, out = edge(), edge(), edge(), edge()
+            nodes.append(XorJoin(tuple(sorted((cur, back))), body))
+            nodes.append(Task(body, after))
+            nodes.append(XorSplit(after, tuple(sorted((back, out)))))
+            cur = out
+    if rng.random() < 0.2:
+        back, body = edge(), edge()
+        nodes.append(XorJoin(tuple(sorted((cur, back))), body))
+        nodes.append(Task(body, back))
+    else:
+        nodes.append(EndEvent(cur, edge()))
     return nodes
 
 

@@ -272,6 +272,17 @@ def test_lts_of_a_process_file_says_it_must_be_composed(capsys):
     )
 
 
+def test_check_of_a_process_file_says_it_must_be_composed(capsys):
+    path = fx("bank.txt")
+    assert main(["check", path, fx("booking_collaboration.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is a single process, which has no LTS of its own;"
+        " compose it with its partners first (chorcheck compose)\n"
+    )
+
+
 def test_lts_of_a_malformed_choreography_keeps_its_parse_error(tmp_path, capsys):
     model = tmp_path / "bad.txt"
     model.write_text("start(a) | taskRcv(a, b, m) | task(b, c, A->B:m) | end(c, d)")
@@ -409,7 +420,7 @@ def test_patched_module_names_take_effect_after_the_parser_exists(monkeypatch, c
 
     monkeypatch.setattr(cli, "generate_lts", counting)
     assert main(argv) == 0
-    assert seen == [{"reduce": True}, {"reduce": True}]
+    assert seen == [{"reduce": True}, {"reduce": True, "hidden": frozenset()}]
 
 
 # The paper's case studies, as `check` calls (those of `test_acceptance.py`).

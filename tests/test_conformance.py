@@ -21,6 +21,7 @@ from chorcheck import (
     parse_collaboration,
     saturate,
 )
+import oracle_weak
 from conftest import GOLDEN, fixture_text
 from generators import random_lts, tau_padded
 
@@ -69,9 +70,14 @@ def verdicts(ch_name, col_name):
 
 
 def assert_replays(result, wa, wb):
-    """A false verdict's counterexample must re-execute mechanically."""
+    """A false verdict's counterexample must re-execute mechanically.
+
+    It is replayed on the reference weak systems of `tests/oracle_weak.py`,
+    built from the transition systems behind `wa` and `wb`.
+    """
     ce = result.counterexample
     assert ce is not None
+    wa, wb = oracle_weak.saturate(wa.lts), oracle_weak.saturate(wb.lts)
     if isinstance(ce, DistinguishingTrace):
         on_choreo = wa.admits_trace(ce.labels)
         on_collab = wb.admits_trace(ce.labels)

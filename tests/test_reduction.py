@@ -1,16 +1,22 @@
-"""τ-confluence reduction against full exploration.
+"""Representative exploration against full exploration.
 
-`generate_lts(..., reduce=True)` must return a sub-LTS of the full system
-(matched by marking) that is weakly bisimilar to it, and every verdict line
-`check` prints, counterexamples included, must be the one full exploration
-gives.  Under tight bounds the reduced exploration may only fail where the
-full one fails the same way; where only the full one fails, looser bounds
-must give the full exploration the reduced verdicts.
+`generate_lts(..., reduce=True)` visits one representative per class of
+markings joined by confluent silent steps.  Every state must be a reachable
+marking, the initial state the representative of the initial marking, and
+every step one full non-confluent step followed by confluent steps to the
+representative of its target; the result must be weakly bisimilar to the
+full system.  Every verdict line `check` prints, counterexamples included,
+must be the one full exploration gives on the fixtures and the matched-pair
+family; on the XOR-heavy family a BBC witness, which is picked by state
+number, may rarely differ but must replay on the full systems.  Under tight
+bounds a reduced failure must be a full failure too.
 """
 
 import contextlib
 import io
 import random
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -18,32 +24,47 @@ import chorcheck.cli
 from chorcheck import (
     BoundExceeded,
     Choreography,
+    Comm,
+    ExplorationBounds,
     check_bbc,
     check_tbc,
     compose,
+    export_aut,
     generate_lts,
+    hide,
     labels_choreo,
     labels_collab,
     parse_choreography,
     parse_collaboration,
+    print_model,
+    saturate,
 )
 from chorcheck.cli import _print_verdict, main
-from chorcheck.conformance import saturate_pair
+from chorcheck.conformance import ConformanceResult, saturate_pair
 from chorcheck.model import TAU
 from chorcheck.semantics import DEFAULT_BOUNDS, compile_net, confluent_rules
 from conftest import fixture_path
-from generators import fanin, matched_tuple_pair
+from generators import fanin, matched_tuple_pair, xor_tuple_pair
+from test_conformance import assert_replays
 from test_net_semantics import FIXTURE_MODELS, FLOODING, TIGHT_BOUNDS, random_collaborations
 from test_weak_layer import ROLE_ASSIGNMENTS, STUDY_PAIRS
 
 # Pool A loops silently for ever, through confluent rules only, while pool B
-# can still receive.  Prioritising the loop without the proviso that a
-# prioritised step must discover a new state would lose B's receive.
+# can still receive.  Every representative lies on A's loop with confluent
+# rules still enabled: settling must stop there instead of spinning, and
+# B's receive must still be explored from it.
 IGNORING_COLLABORATION = """
 pool A { start(a1) | taskSnd(a1, a2, A->B:m) | xorJoin({a2, a4}, a3) | task(a3, a4) }
 pool B { start(b1) | taskRcv(b1, b2, A->B:m) | end(b2, b3) }
 """
 IGNORING_CHOREOGRAPHY = "start(c1) | task(c1, c2, A->B:m) | end(c2, c3)"
+
+# Both sends are confluent: they reach the representative of the initial
+# marking with two messages in flight.
+TWO_SENDS = """
+pool A { start(a1) | taskSnd(a1, a2, A->B:m) | taskSnd(a2, a3, A->B:n) | end(a3, a4) }
+pool B { start(b1) | taskRcv(b1, b2, A->B:m) | taskRcv(b2, b3, A->B:n) | end(b3, b4) }
+"""
 
 
 def outcome(model, bounds, reduce):
@@ -53,26 +74,74 @@ def outcome(model, bounds, reduce):
         return err.kind
 
 
-def assert_sub_lts(model):
-    """The reduced LTS is part of the full one and weakly bisimilar to it.
+def enabled(marking, rule):
+    return all(marking[p] for p in rule.pre)
 
-    Each reduced state either keeps all of its full transitions or takes a
-    single silent step.
+
+def fire(marking, rule):
+    nxt = list(marking)
+    for p in rule.pre:
+        nxt[p] -= 1
+    for p in rule.post:
+        nxt[p] += 1
+    return tuple(nxt)
+
+
+def reach(rules, marking):
+    """Every marking reachable from `marking` by `rules`."""
+    seen = {marking}
+    todo = [marking]
+    while todo:
+        m = todo.pop()
+        for rule in rules:
+            if enabled(m, rule):
+                nxt = fire(m, rule)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return seen
+
+
+def represents(confluent, marking, rep):
+    """`rep` is the least marking of a bottom SCC that `marking` reaches by
+    confluent steps."""
+    if rep not in reach(confluent, marking):
+        return False
+    scc = reach(confluent, rep)
+    return rep == min(scc) and all(rep in reach(confluent, m) for m in scc)
+
+
+def assert_representatives(model):
+    """The reduced LTS explores representatives of the full one.
+
+    Every reduced marking is reachable, the reduced initial state is the
+    representative of the full initial state, and each reduced step is one
+    full non-confluent step followed by confluent steps to the
+    representative of its target, for every non-confluent step there is.
     """
     full = generate_lts(model)
     reduced = generate_lts(model, reduce=True)
+    net = compile_net(model)
+    chosen = set(confluent_rules(net))
+    confluent = [rule for i, rule in enumerate(net.rules) if i in chosen]
+    others = [rule for i, rule in enumerate(net.rules) if i not in chosen]
     where = {marking: s for s, marking in enumerate(full.states)}
-    assert where[reduced.states[reduced.initial]] == full.initial
-    out = {s: set() for s in range(full.n_states)}
-    for src, label, tgt in full.transitions:
-        out[src].add((label, tgt))
-    mine = {s: set() for s in range(reduced.n_states)}
+    assert all(marking in where for marking in reduced.states)
+    assert represents(confluent, net.initial, reduced.states[reduced.initial])
+    full_steps = set(full.transitions)
+    mine = defaultdict(set)
     for src, label, tgt in reduced.transitions:
-        mine[src].add((label, where[reduced.states[tgt]]))
-    for s, steps in mine.items():
-        expected = out[where[reduced.states[s]]]
-        assert steps <= expected
-        assert steps == expected or (len(steps) == 1 and next(iter(steps))[0] == TAU)
+        mine[src].add((label, reduced.states[tgt]))
+    for s, marking in enumerate(reduced.states):
+        steps = set()
+        for rule in others:
+            if enabled(marking, rule):
+                nxt = fire(marking, rule)
+                assert (where[marking], rule.label, where[nxt]) in full_steps
+                step = [(l, t) for l, t in mine[s] if l == rule.label and represents(confluent, nxt, t)]
+                assert len(step) == 1
+                steps.add(step[0])
+        assert steps == mine[s]
     return full, reduced
 
 
@@ -82,22 +151,27 @@ def test_reduced_fixture_lts_is_a_bisimilar_sub_lts(name, model):
     if isinstance(full, str):  # the unbounded fixture
         assert outcome(model, DEFAULT_BOUNDS, True) == full
         return
-    full, reduced = assert_sub_lts(model)
+    full, reduced = assert_representatives(model)
     assert check_bbc(full, reduced).verdict
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_reduced_fanin_is_a_sub_lts(k):
     choreography, collaboration = fanin(k)
-    assert_sub_lts(choreography)
-    full, reduced = assert_sub_lts(collaboration)
+    assert_representatives(choreography)
+    full, reduced = assert_representatives(collaboration)
     if k <= 4:
         assert check_bbc(full, reduced).verdict
 
 
 def test_fanin_reduction_sizes():
-    sizes = [generate_lts(fanin(k)[1], reduce=True).n_states for k in (3, 4, 5)]
-    assert sizes == [21, 32, 51]
+    """Each side of fan-in k reduces to one state per set of finished
+    exchanges, with no silent step left."""
+    for k in range(1, 7):
+        for side in fanin(k):
+            lts = generate_lts(side, reduce=True)
+            assert lts.n_states == 2 ** k
+            assert all(label != TAU for _, label, _ in lts.transitions)
     assert [generate_lts(fanin(k)[1]).n_states for k in (3, 4)] == [360, 1840]
 
 
@@ -117,6 +191,27 @@ def test_confluent_rules():
     ]
 
 
+def test_hidden_receives_are_confluent():
+    collab = parse_collaboration(TWO_SENDS)
+    net = compile_net(collab)
+    m = Comm("A", "B", "m")
+    added = set(confluent_rules(net, {m})) - set(confluent_rules(net))
+    assert [net.rules[i].label for i in added] == [m]
+    lts = generate_lts(collab, reduce=True, hidden={m})
+    assert lts.labels() == {Comm("A", "B", "n")}
+    assert lts.n_states == 2
+    assert generate_lts(collab, reduce=True).n_states == 3
+
+
+def test_bounds_are_checked_on_the_way_to_a_representative():
+    collab = parse_collaboration(TWO_SENDS.replace("A->B:n", "A->B:m"))
+    bounds = ExplorationBounds(max_messages_per_edge=1)
+    with pytest.raises(BoundExceeded) as err:
+        generate_lts(collab, bounds, reduce=True)
+    assert (err.value.kind, err.value.states, err.value.frontier) == ("messages", 0, 0)
+    assert outcome(collab, bounds, False) == "messages"
+
+
 # ---------------------------------------------------------------------------
 # Verdict lines
 
@@ -125,33 +220,46 @@ def _labels(model):
     return labels_choreo(model) if isinstance(model, Choreography) else labels_collab(model)
 
 
-def verdict_lines(a, b, reduce, hidden=frozenset(), bounds=DEFAULT_BOUNDS, explored=None):
-    """`check --report lines` output for two models, or the bound's kind.
+def checked(a, b, reduce, hidden=frozenset(), bounds=DEFAULT_BOUNDS, explored=None):
+    """(TBC result, BBC result, LTS of `a`, LTS of `b`, labels hidden in `b`)
+    as `check` computes them for two models, or the bound's kind.
 
-    `explored` caches each model's LTS across calls.
+    As in `check`, the labels hidden in `b` count as silent when it is
+    reduced.  `explored` caches each model's LTS across calls.
     """
     explored = {} if explored is None else explored
+    hidden = (_labels(b) - _labels(a)) | hidden
+    keys = [(a, reduce, frozenset()), (b, reduce, hidden if reduce else frozenset())]
     try:
-        for model in (a, b):
-            if (model, reduce) not in explored:
-                explored[model, reduce] = generate_lts(model, bounds, reduce=reduce)
+        for key in keys:
+            if key not in explored:
+                model, _, silent = key
+                explored[key] = generate_lts(model, bounds, reduce=reduce, hidden=silent)
     except BoundExceeded as err:
         return err.kind
-    la, lb = explored[a, reduce], explored[b, reduce]
-    weak = saturate_pair(la, lb, (_labels(b) - _labels(a)) | hidden)
+    la, lb = explored[keys[0]], explored[keys[1]]
+    weak = saturate_pair(la, lb, hidden)
+    return check_tbc(*weak), check_bbc(*weak), la, lb, hidden
+
+
+def verdict_lines(*args, **kwargs):
+    """`check --report lines` output for two models, or the bound's kind."""
+    results = checked(*args, **kwargs)
+    if isinstance(results, str):
+        return results
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _print_verdict(check_tbc(*weak), "lines")
-        _print_verdict(check_bbc(*weak), "lines")
+        _print_verdict(results[0], "lines")
+        _print_verdict(results[1], "lines")
     return out.getvalue()
 
 
-def random_check_cases(seed, count):
+def random_check_cases(seed, count, pair=matched_tuple_pair, **kwargs):
     """Pairs of compositions over the same messages, in both orders, and once
     more with a shared label hidden."""
     rng = random.Random(seed)
     for _ in range(count):
-        first, second, names = matched_tuple_pair(rng)
+        first, second, names = pair(rng, **kwargs)
         a, b = compose(first, names), compose(second, names)
         yield a, b, frozenset()
         yield b, a, frozenset()
@@ -178,11 +286,12 @@ def test_ignoring_loop_keeps_the_other_pools_moves():
     expected = verdict_lines(choreography, collaboration, False)
     assert expected == "tbc true\nbbc true\n"
     assert verdict_lines(choreography, collaboration, True) == expected
-    assert_sub_lts(collaboration)
+    full, reduced = assert_representatives(collaboration)
+    assert check_bbc(full, reduced).verdict
 
 
-def _full_exploration(model, bounds=DEFAULT_BOUNDS, *, reduce=False):
-    """`generate_lts` that ignores `reduce`: the oracle for `check`."""
+def _full_exploration(model, bounds=DEFAULT_BOUNDS, *, reduce=False, hidden=()):
+    """`generate_lts` that ignores `reduce` and `hidden`: the oracle for `check`."""
     return generate_lts(model, bounds)
 
 
@@ -194,6 +303,67 @@ def check_outputs(argv, capsys, monkeypatch):
         code = main(argv)
         outputs.append((code, *capsys.readouterr()))
     return outputs
+
+
+def assert_replays_on_full(witness, reduced, full, hidden):
+    """A BBC witness found on the reduced systems replays on the full ones."""
+    states = []
+    for lts, state in zip(reduced, (witness.choreo_state, witness.collab_state)):
+        states.append(full[len(states)].states.index(lts.states[state]))
+    mapped = replace(witness, choreo_state=states[0], collab_state=states[1])
+    assert_replays(
+        ConformanceResult("bbc", False, mapped),
+        saturate(full[0]), saturate(hide(full[1], hidden)),
+    )
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_xor_checks_agree_with_full_exploration(seed):
+    """On XOR-heavy pairs, reduced `check` gives full exploration's exit
+    code, TBC line and BBC verdict.  The BBC witness is chosen by state
+    number, so a reduction can change it: it must then still replay on the
+    full systems, and stay rare."""
+    explored = {}
+    verdicts, moved = [], []
+    for a, b, hidden in random_check_cases(seed, 60, xor_tuple_pair, max_pools=3):
+        tbc, bbc, *full, silent = checked(a, b, False, hidden, explored=explored)
+        tbc_r, bbc_r, *reduced, _ = checked(a, b, True, hidden, explored=explored)
+        assert tbc_r == tbc
+        assert bbc_r.verdict == bbc.verdict
+        verdicts.append(tbc.verdict and bbc.verdict)
+        if bbc.verdict:
+            continue
+        witness, expected = bbc_r.counterexample, bbc.counterexample
+        if (witness.path, witness.offending, witness.side) != (
+            expected.path, expected.offending, expected.side
+        ):
+            assert_replays_on_full(witness, reduced, full, silent)
+            moved.append(witness)
+    assert len(verdicts) > 150
+    assert 0.2 < verdicts.count(True) / len(verdicts) < 0.8
+    assert len(moved) <= len(verdicts) // 50
+
+
+def test_xor_checks_exit_like_full_exploration(tmp_path, capsys, monkeypatch):
+    """`check` with the first composition as an `.aut` choreography: the
+    collaboration is reduced with the labels the `.aut` lacks counted as
+    silent.  Exit code, stderr, the TBC line and the BBC verdict must be
+    those of full exploration."""
+    aut, text = tmp_path / "a.aut", tmp_path / "b.txt"
+    codes = []
+    for a, b, hidden in random_check_cases(43, 40, xor_tuple_pair, max_pools=3):
+        if hidden:
+            continue
+        aut.write_bytes(export_aut(generate_lts(a)))
+        text.write_text(print_model(b))
+        argv = ["check", str(aut), str(text), "--report", "lines"]
+        outputs = []
+        for code, out, err in check_outputs(argv, capsys, monkeypatch):
+            tbc, bbc = out.splitlines()
+            outputs.append((code, err, tbc, bbc.split()[:2]))
+        assert outputs[0] == outputs[1]
+        codes.append(outputs[0][0])
+    assert set(codes) == {0, 4}
 
 
 @pytest.mark.parametrize("report", ["lines", "human"])
@@ -220,21 +390,30 @@ def test_check_reports_equal_full_exploration_on_fixtures(report, capsys, monkey
 
 
 def test_reduced_bound_failures_are_full_failures():
+    """Every marking the reduced exploration passes through is reachable, so
+    its failures are full failures, though full exploration, which visits
+    more states, may meet the state bound first."""
     models = [model for _, model in FIXTURE_MODELS]
     models += list(random_collaborations(13, 60))
     models += [fanin(3)[1], parse_collaboration(FLOODING)]
-    kinds, only_full = set(), 0
+    kinds, only_full, other_kind = set(), 0, 0
     for bounds in TIGHT_BOUNDS:
         for model in models:
             full = outcome(model, bounds, False)
             reduced = outcome(model, bounds, True)
             if isinstance(reduced, str):
-                assert full == reduced
+                assert isinstance(full, str)
                 kinds.add(reduced)
+                if full != reduced:
+                    other_kind += 1
+                    raised = ExplorationBounds(
+                        bounds.max_tokens_per_edge, bounds.max_messages_per_edge, 10 ** 6
+                    )
+                    assert outcome(model, raised, False) in ("tokens", "messages")
             elif isinstance(full, str):
                 only_full += 1
     assert kinds == {"tokens", "messages", "states"}
-    assert only_full > 0
+    assert only_full > 0 and other_kind > 0
 
 
 def test_bound_failing_only_in_full_exploration_has_the_reduced_verdicts():
