@@ -34,13 +34,14 @@ from .conformance import (
     saturate_pair,
     AutSyntaxError,
 )
-from .model import Choreography, Collaboration, InputError, labels_collab
+from .model import InputError
 from .semantics import (
     DEFAULT_BOUNDS,
     BoundExceeded,
     ExplorationBounds,
     Lts,
     generate_lts,
+    hide,
     hiding_set,
 )
 from .text_syntax import (
@@ -78,17 +79,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _detect_kind(path: str, fmt: str) -> str:
-    """The kind of a text or BPMN model file (`fmt` already detected)."""
-    text = _read(path)
-    if fmt == "bpmn":
-        return "choreography" if "<choreography" in text or ":choreography" in text else "collaboration"
-    stripped = re.sub(r"//[^\n]*", "", text).lstrip()
-    return "collaboration" if stripped.startswith("pool") else "choreography"
-
-
 def _load_model(path: str, fmt: str, kind: str):
-    """Load one input: a model, or an `Lts` for an .aut file.
+    """Load one input, read once: a model, or an `Lts` for an .aut file.
 
     `kind` "auto" infers a model's kind from the file.  A text file holding
     a single process is refused as a choreography, since a process has no
@@ -97,12 +89,18 @@ def _load_model(path: str, fmt: str, kind: str):
     fmt = _detect_format(path, fmt)
     if fmt == "aut":
         return parse_aut(_read(path))
-    if kind == "auto":
-        kind = _detect_kind(path, fmt)
     if fmt == "bpmn":
-        doc = BpmnDocument.from_path(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if kind == "auto":
+            choreo = b"<choreography" in data or b":choreography" in data
+            kind = "choreography" if choreo else "collaboration"
+        doc = BpmnDocument.from_text(data)
         return load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
     text = _read(path)
+    if kind == "auto":
+        stripped = re.sub(r"//[^\n]*", "", text).lstrip()
+        kind = "collaboration" if stripped.startswith("pool") else "choreography"
     if kind == "collaboration":
         return parse_collaboration(text)
     try:
@@ -150,24 +148,28 @@ def _split_names(raw: str) -> list[str]:
     return names
 
 
-def _not_composable(err: CompositionError) -> int:
-    print("not composable:")
-    for issue in err.issues:
-        print(f"  {type(issue).__name__}: {issue}")
-    return 2
+def _compose_files(files: list[str], raw_names: str):
+    """The collaboration of the process `files` under the comma-separated
+    `raw_names`, or the exit code of a failure already reported."""
+    processes = [parse_process(_read(p)) for p in files]
+    names = _split_names(raw_names)
+    if len(names) != len(processes):
+        print("error: need as many names as process files", file=sys.stderr)
+        return 1
+    try:
+        return compose(processes, names)
+    except CompositionError as err:
+        print("not composable:")
+        for issue in err.issues:
+            print(f"  {type(issue).__name__}: {issue}")
+        return 2
 
 
 def cmd_compose(args) -> int:
     try:
-        processes = [parse_process(_read(p)) for p in args.files]
-        names = _split_names(args.names)
-        if len(names) != len(processes):
-            print("error: need as many names as process files", file=sys.stderr)
-            return 1
-        try:
-            collab = compose(processes, names)
-        except CompositionError as err:
-            return _not_composable(err)
+        collab = _compose_files(args.files, args.names)
+        if isinstance(collab, int):
+            return collab
         text = print_model(collab)
         issues = well_composed(collab)
         print("well-composed: ok" if not issues else "well-composed: NO")
@@ -240,15 +242,9 @@ def cmd_check(args) -> int:
                       file=sys.stderr)
                 return 1
             files = [p.strip() for p in args.processes.split(",") if p.strip()]
-            processes = [parse_process(_read(p)) for p in files]
-            names = _split_names(args.names or "")
-            if len(names) != len(processes):
-                print("error: need as many names as process files", file=sys.stderr)
-                return 1
-            try:
-                collab = compose(processes, names)
-            except CompositionError as err:
-                return _not_composable(err)
+            collab = _compose_files(files, args.names or "")
+            if isinstance(collab, int):
+                return collab
         elif args.collaboration:
             collab = _load_model(args.collaboration, args.format, "collaboration")
         else:
@@ -256,27 +252,20 @@ def cmd_check(args) -> int:
                   file=sys.stderr)
             return 1
 
+        # The collaboration's labels that the choreography does not mention
+        # are hidden: a model explores them as τ, an .aut has them relabelled.
         # Each model is explored as the representatives of its confluent
-        # silent steps, and the collaboration's labels that the choreography
-        # does not mention, which are hidden before the comparison, count as
-        # silent there.  The reduced systems are branching bisimilar to the
-        # full ones once those labels are hidden, so verdicts and TBC
-        # counterexamples stay the same; the BBC witness is picked by state
-        # number, so on rare models another valid one comes out.
+        # silent steps, which is branching bisimilar to full exploration, so
+        # verdicts and TBC counterexamples stay the same; the BBC witness is
+        # picked by state number, so on rare models another valid one comes out.
         bounds = _bounds(args)
-        if isinstance(choreo, Choreography):
-            choreo_lts = generate_lts(choreo, bounds, reduce=True)
+        hidden = hiding_set(choreo, collab)
+        if not isinstance(choreo, Lts):
+            choreo = generate_lts(choreo, bounds, reduce=True)
+        if isinstance(collab, Lts):
+            collab = hide(collab, hidden)
         else:
-            choreo_lts = choreo
-        if isinstance(collab, Collaboration):
-            if isinstance(choreo, Choreography):
-                hidden = hiding_set(choreo, collab)
-            else:
-                hidden = labels_collab(collab) - choreo_lts.labels()
-            collab_lts = generate_lts(collab, bounds, reduce=True, hidden=hidden)
-        else:
-            collab_lts = collab
-            hidden = collab_lts.labels() - choreo_lts.labels()
+            collab = generate_lts(collab, bounds, reduce=True, hidden=hidden)
     except BoundExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -284,7 +273,7 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    choreo_weak, collab_weak = saturate_pair(choreo_lts, collab_lts, hidden)
+    choreo_weak, collab_weak = saturate_pair(choreo, collab)
     results = []
     if args.relation in ("tbc", "both"):
         results.append(check_tbc(choreo_weak, collab_weak))

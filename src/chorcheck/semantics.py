@@ -13,9 +13,10 @@ consumes it under the visible label.
 `generate_lts` explores the reachable markings breadth-first into a finite
 labelled transition system with deterministic state numbering, failing
 loudly (BoundExceeded) instead of truncating when a model is unbounded.
-With `reduce=True` it visits one representative per class of markings
-joined by confluent silent steps (see `confluent_rules`) and returns a
-smaller, branching-bisimilar system whose states are reachable markings.
+Labels it is given as `hidden` are explored as τ.  With `reduce=True` it
+visits one representative per class of markings joined by confluent silent
+steps (see `confluent_rules`) and returns a smaller, branching-bisimilar
+system whose states are reachable markings.
 """
 
 from __future__ import annotations
@@ -198,11 +199,13 @@ def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
     raise TypeError(f"node {node!r} is not a collaboration element")
 
 
-def compile_net(model) -> Net:
-    """Lower a choreography or collaboration into its net."""
+def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
+    """Lower a choreography or collaboration into its net; the rules whose
+    label is in `hidden` are labelled τ instead."""
     if not isinstance(model, (Choreography, Collaboration)):
         raise TypeError(f"cannot execute {type(model).__name__}")
     collab = isinstance(model, Collaboration)
+    hidden = frozenset(hidden)
     number: dict = {}
 
     # Per-call tuples here and elsewhere are built from lists: a generator
@@ -213,7 +216,7 @@ def compile_net(model) -> Net:
         return tuple([number.setdefault(name, len(number)) for name in names])
 
     rules = tuple([
-        Rule(i, numbered(pre), numbered(post), label)
+        Rule(i, numbered(pre), numbered(post), TAU if label in hidden else label)
         for i, node in enumerate(model.nodes)
         for pre, post, label in _node_rules(i, node, collab)
     ])
@@ -222,22 +225,19 @@ def compile_net(model) -> Net:
     return Net(names, initial, rules)
 
 
-def confluent_rules(net: Net, hidden: Iterable[Comm] = ()) -> tuple[int, ...]:
+def confluent_rules(net: Net) -> tuple[int, ...]:
     """Indices of the rules that are silent and sole consumers of their pre-places.
 
-    A rule labelled with one of the `hidden` labels counts as silent, since
-    it is made silent before the system is compared (see `hide`).  Once such
-    a rule is enabled no other rule can disable it, and firing it disables
-    no other rule, so it commutes with every other step: it is τ-confluent.
-    XOR splits share their pre-place, so they are never confluent; a receive
-    is confluent only when hidden.
+    Once such a rule is enabled no other rule can disable it, and firing it
+    disables no other rule, so it commutes with every other step: it is
+    τ-confluent.  XOR splits share their pre-place, so they are never
+    confluent; a receive is confluent only when its label is hidden (see
+    `compile_net`).
     """
-    hidden = frozenset(hidden)
     consumers = Counter(p for rule in net.rules for p in rule.pre)
     return tuple([
         i for i, rule in enumerate(net.rules)
-        if (rule.label == TAU or rule.label in hidden)
-        and all(consumers[p] == 1 for p in rule.pre)
+        if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
     ])
 
 
@@ -399,24 +399,24 @@ def generate_lts(
     Exploration is breadth-first with canonical step ordering, so two runs on
     the same model and bounds produce identical state numbering and
     transition lists.  Only the places a rule produces into can grow, so the
-    token and message bounds are checked on those alone.
+    token and message bounds are checked on those alone.  The labels in
+    `hidden` are explored as τ (see `compile_net`), so the result equals
+    `hide(generate_lts(model, bounds, reduce=reduce), hidden)`.
 
     With `reduce`, exploration visits representatives only (Groote & van de
     Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
-    `confluent_rules`, where `hidden` names the labels that will be hidden)
-    commute with every other step and no step disables them, so the markings
-    joined by confluent steps fall into classes with one bottom SCC each; a
-    class is represented by the least marking of that SCC, which without a
-    confluent cycle is simply the marking in which no confluent rule is
-    enabled.  From each representative, each enabled non-confluent rule
+    `confluent_rules`; a rule with a hidden label may be one) commute with
+    every other step and no step disables them, so the markings joined by
+    confluent steps fall into classes with one bottom SCC each; a class is
+    represented by the least marking of that SCC, which without a confluent
+    cycle is simply the marking in which no confluent rule is enabled.  From each representative, each enabled non-confluent rule
     fires once and leads to the representative of its target.  Confluent
     steps are left out, so the result has no τ-transitions apart from XOR
-    splits.  It is branching bisimilar to the full LTS (once `hidden` is
-    hidden in both), and every state is a reachable marking.  The bounds
-    then apply to the reduced exploration (see `BoundExceeded`).  `hidden`
-    has no effect without `reduce`.
+    splits.  It is branching bisimilar to the full LTS with the same labels
+    hidden, and every state is a reachable marking.  The bounds then apply
+    to the reduced exploration (see `BoundExceeded`).
     """
-    net = compile_net(model)
+    net = compile_net(model, hidden)
     caps = [
         bounds.max_messages_per_edge if isinstance(name, MessageEdge)
         else bounds.max_tokens_per_edge
@@ -427,7 +427,7 @@ def generate_lts(
     rules = [(rule.pre, rule.post, rank[rule.label], ()) for rule in net.rules]
     settle = None
     if reduce:
-        chosen = set(confluent_rules(net, hidden))
+        chosen = set(confluent_rules(net))
         confluence = _Confluence([rules[i][:2] for i in sorted(chosen)], caps)
         settle = confluence.settle
         rules = [
@@ -523,6 +523,12 @@ def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
     return Lts(lts.n_states, lts.initial, tuple(out), lts.states)
 
 
-def hiding_set(ch: Choreography, c: Collaboration) -> frozenset[Comm]:
-    """Collaboration labels that the choreography does not talk about."""
-    return labels_collab(c) - labels_choreo(ch)
+def hiding_set(choreo, collab) -> frozenset[Comm]:
+    """Collaboration labels that the choreography does not talk about.
+
+    A model, on either side, names every label of its nodes, reachable or
+    not; an `Lts`, such as one read from `.aut`, only those on its transitions.
+    """
+    spoken = choreo.labels() if isinstance(choreo, Lts) else labels_choreo(choreo)
+    exchanged = collab.labels() if isinstance(collab, Lts) else labels_collab(collab)
+    return exchanged - spoken

@@ -441,6 +441,23 @@ CASE_STUDY_PAIRS = [
 ]
 
 
+def test_check_answers_alike_for_a_collaboration_and_its_aut(tmp_path, capsys):
+    """`check` hides the same labels whether the collaboration is a model or
+    its own `lts` export.  A choreography task that can never run still
+    names its label, so the collaboration's `a->b:n` stays visible in both."""
+    unreachable = ("unreachable_task_choreography.txt", "unreachable_task_collaboration.txt")
+    aut = str(tmp_path / "collaboration.aut")
+    answers = []
+    for ch, col in [unreachable, *CASE_STUDY_PAIRS]:
+        assert in_process(["lts", fx(col), "-o", aut], capsys)[0] == 0
+        model = in_process(["check", fx(ch), fx(col), "--report", "lines"], capsys)
+        assert in_process(["check", fx(ch), aut, "--report", "lines"], capsys) == model
+        answers.append(model)
+    assert answers[0] == (4, "tbc false a->b:m·a->b:n collaboration\n"
+                             "bbc false a->b:m a->b:n collaboration\n", "")
+    assert {code for code, _, _ in answers} == {0, 4}
+
+
 def test_repeated_checks_leave_no_memory_behind(capsys):
     """A long run of in-process calls keeps its memory flat.
 

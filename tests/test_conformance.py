@@ -269,6 +269,36 @@ def test_tau_padding_preserves_weak_equivalence():
         assert check_bbc(a, tau_padded(rng, a)).verdict
 
 
+def renumbered(rng, lts: Lts) -> Lts:
+    """`lts` with its states permuted and, if it has two, its initial state moved."""
+    number = list(range(lts.n_states))
+    rng.shuffle(number)
+    s0 = lts.initial
+    if lts.n_states > 1 and number[s0] == s0:
+        other = (s0 + 1) % lts.n_states
+        number[s0], number[other] = number[other], number[s0]
+    moved = [(number[src], label, number[tgt]) for src, label, tgt in lts.transitions]
+    return Lts.make(lts.n_states, number[s0], moved)
+
+
+def test_results_do_not_depend_on_state_numbering():
+    """TBC's shortest trace is fixed by the trace languages, so its whole
+    result survives renumbering; BBC's verdict does too, while its witness
+    is picked by state number and may change."""
+    rng = random.Random(41)
+    verdicts = []
+    for i in range(300):
+        a = random_lts(rng, max_states=6)
+        b = tau_padded(rng, a) if i % 2 == 0 else random_lts(rng, max_states=6)
+        tbc, bbc = check_tbc(a, b), check_bbc(a, b)
+        c, d = renumbered(rng, a), renumbered(rng, b)
+        for x, y in ((c, b), (a, d), (c, d)):
+            assert check_tbc(x, y) == tbc
+            assert check_bbc(x, y).verdict == bbc.verdict
+        verdicts.append((tbc.verdict, bbc.verdict))
+    assert {(True, True), (True, False), (False, False)} <= set(verdicts)
+
+
 # ---------------------------------------------------------------------------
 # Aldebaran format
 

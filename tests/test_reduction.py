@@ -195,7 +195,7 @@ def test_hidden_receives_are_confluent():
     collab = parse_collaboration(TWO_SENDS)
     net = compile_net(collab)
     m = Comm("A", "B", "m")
-    added = set(confluent_rules(net, {m})) - set(confluent_rules(net))
+    added = set(confluent_rules(compile_net(collab, {m}))) - set(confluent_rules(net))
     assert [net.rules[i].label for i in added] == [m]
     lts = generate_lts(collab, reduce=True, hidden={m})
     assert lts.labels() == {Comm("A", "B", "n")}
@@ -224,8 +224,9 @@ def checked(a, b, reduce, hidden=frozenset(), bounds=DEFAULT_BOUNDS, explored=No
     """(TBC result, BBC result, LTS of `a`, LTS of `b`, labels hidden in `b`)
     as `check` computes them for two models, or the bound's kind.
 
-    As in `check`, the labels hidden in `b` count as silent when it is
-    reduced.  `explored` caches each model's LTS across calls.
+    As in `check`, reduced exploration of `b` hides those labels itself;
+    full exploration, the oracle, leaves them to `saturate_pair`.
+    `explored` caches each model's LTS across calls.
     """
     explored = {} if explored is None else explored
     hidden = (_labels(b) - _labels(a)) | hidden
@@ -291,8 +292,9 @@ def test_ignoring_loop_keeps_the_other_pools_moves():
 
 
 def _full_exploration(model, bounds=DEFAULT_BOUNDS, *, reduce=False, hidden=()):
-    """`generate_lts` that ignores `reduce` and `hidden`: the oracle for `check`."""
-    return generate_lts(model, bounds)
+    """`generate_lts` that ignores `reduce` and hides `hidden` afterwards:
+    the oracle for `check`."""
+    return hide(generate_lts(model, bounds), hidden)
 
 
 def check_outputs(argv, capsys, monkeypatch):
