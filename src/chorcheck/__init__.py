@@ -12,6 +12,7 @@ from .model import (
     InputError,
     InterRcv,
     InterSnd,
+    MalformedModelError,
     MessageEdge,
     Pool,
     Process,
@@ -24,6 +25,7 @@ from .model import (
     Task,
     TaskRcv,
     TaskSnd,
+    UnsupportedElementError,
     in_edges,
     labels_choreo,
     labels_collab,
@@ -70,13 +72,16 @@ from .conformance import (
     parse_aut,
     saturate,
 )
-from .bpmn_xml import (
-    BpmnDocument,
-    MalformedModelError,
-    UnsupportedElementError,
-    load_choreography,
-    load_collaboration,
-    load_process,
-)
 
 __version__ = "0.1.0"
+
+_BPMN_NAMES = ("BpmnDocument", "load_choreography", "load_collaboration", "load_process")
+
+
+def __getattr__(name: str):
+    """The BPMN reader's names, importing `bpmn_xml` (and `xml.etree`) on
+    first use, so that the package and the CLI start without them."""
+    if name in _BPMN_NAMES:
+        from . import bpmn_xml
+        return getattr(bpmn_xml, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,6 @@ Peculiarities of the lowering:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from .model import (
@@ -36,6 +34,7 @@ from .model import (
     EventBased,
     InterRcv,
     InterSnd,
+    MalformedModelError,
     Pool,
     Process,
     Send,
@@ -43,38 +42,27 @@ from .model import (
     Task,
     TaskRcv,
     TaskSnd,
+    UnsupportedElementError,
     XorJoin,
     XorSplit,
     branch_key,
     message_parts,
+    replace,
 )
 
 MODEL_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
-
-
-class UnsupportedElementError(Exception):
-    """The document uses a BPMN element outside the supported subset."""
-
-    def __init__(self, kind: str, element_id: str = ""):
-        at = f" (id {element_id!r})" if element_id else ""
-        super().__init__(f"unsupported BPMN element {kind!r}{at}")
-        self.kind = kind
-
-
-class MalformedModelError(Exception):
-    """The document is structurally broken (dangling flows, missing parts)."""
 
 
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-@dataclass
 class BpmnDocument:
     """A parsed BPMN file plus an id index over every element."""
 
-    root: ET.Element
-    by_id: dict[str, ET.Element]
+    def __init__(self, root: ET.Element, by_id: dict[str, ET.Element]):
+        self.root = root
+        self.by_id = by_id
 
     @classmethod
     def from_text(cls, text: Union[str, bytes]) -> "BpmnDocument":

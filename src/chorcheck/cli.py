@@ -16,13 +16,6 @@ import functools
 import re
 import sys
 
-from .bpmn_xml import (
-    BpmnDocument,
-    MalformedModelError,
-    UnsupportedElementError,
-    load_choreography,
-    load_collaboration,
-)
 from .composition import CompositionError, compose, well_composed
 from .conformance import (
     DistinguishingTrace,
@@ -34,7 +27,7 @@ from .conformance import (
     saturate_pair,
     AutSyntaxError,
 )
-from .model import InputError
+from .model import InputError, MalformedModelError, UnsupportedElementError
 from .semantics import (
     DEFAULT_BOUNDS,
     BoundExceeded,
@@ -95,8 +88,7 @@ def _load_model(path: str, fmt: str, kind: str):
         if kind == "auto":
             choreo = b"<choreography" in data or b":choreography" in data
             kind = "choreography" if choreo else "collaboration"
-        doc = BpmnDocument.from_text(data)
-        return load_choreography(doc) if kind == "choreography" else load_collaboration(doc)
+        return load_choreography(data) if kind == "choreography" else load_collaboration(data)
     text = _read(path)
     if kind == "auto":
         stripped = re.sub(r"//[^\n]*", "", text).lstrip()
@@ -112,6 +104,19 @@ def _load_model(path: str, fmt: str, kind: str):
                 " compose it with its partners first (chorcheck compose)"
             ) from None
         raise
+
+
+def load_choreography(data: bytes):
+    """A BPMN choreography from a file's bytes.  `bpmn_xml`, and with it
+    `xml.etree`, is imported by the first BPMN input, not with the CLI."""
+    from . import bpmn_xml
+    return bpmn_xml.load_choreography(bpmn_xml.BpmnDocument.from_text(data))
+
+
+def load_collaboration(data: bytes):
+    """A BPMN collaboration from a file's bytes, as `load_choreography`."""
+    from . import bpmn_xml
+    return bpmn_xml.load_collaboration(bpmn_xml.BpmnDocument.from_text(data))
 
 
 def _is_process(text: str) -> bool:

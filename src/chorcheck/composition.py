@@ -11,7 +11,6 @@ at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -21,16 +20,17 @@ from .model import (
     Pool,
     Process,
     Send,
+    Value,
     branch_key,
     duplicate_edges,
     in_edges,
     message_parts,
     out_edges,
+    replace,
 )
 
 
-@dataclass(frozen=True)
-class MessageNameClash:
+class MessageNameClash(Value):
     """A message name bound to one role (send or receive) in several places."""
 
     message: str
@@ -42,8 +42,7 @@ class MessageNameClash:
         return f"message {self.message!r} has clashing {self.role}s at {where}"
 
 
-@dataclass(frozen=True)
-class SelfMessage:
+class SelfMessage(Value):
     """A message whose sender and receiver are the same pool."""
 
     message: str
@@ -53,8 +52,7 @@ class SelfMessage:
         return f"message {self.message!r} is sent by {self.participant!r} to itself"
 
 
-@dataclass(frozen=True)
-class UnmatchedSend:
+class UnmatchedSend(Value):
     """A sent message with no matching reception."""
 
     message: str
@@ -65,8 +63,7 @@ class UnmatchedSend:
         return f"message {self.message!r} sent by {self.sender!r} is never received"
 
 
-@dataclass(frozen=True)
-class UnmatchedReceive:
+class UnmatchedReceive(Value):
     """A received message with no matching send."""
 
     message: str

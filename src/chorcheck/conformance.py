@@ -29,10 +29,9 @@ from __future__ import annotations
 import re
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .model import TAU, Comm, InputError, Label, label_key
+from .model import TAU, Comm, InputError, Label, Value, label_key
 from .semantics import Lts, _sccs, hide
 
 
@@ -176,16 +175,14 @@ CHOREOGRAPHY = "choreography"
 COLLABORATION = "collaboration"
 
 
-@dataclass(frozen=True)
-class DistinguishingTrace:
+class DistinguishingTrace(Value):
     """A visible trace admitted by `side` only; the last label is the mismatch."""
 
     labels: tuple[Comm, ...]
     side: str
 
 
-@dataclass(frozen=True)
-class NonSimulablePair:
+class NonSimulablePair(Value):
     """A matched play leading to a pair of states one side cannot simulate.
 
     Weakly executing `path` can bring the choreography to `choreo_state` and
@@ -203,8 +200,7 @@ class NonSimulablePair:
 Counterexample = Union[DistinguishingTrace, NonSimulablePair]
 
 
-@dataclass(frozen=True)
-class ConformanceResult:
+class ConformanceResult(Value):
     relation: str  # "bbc" or "tbc"
     verdict: bool
     counterexample: Optional[Counterexample] = None

@@ -9,7 +9,6 @@ All types are hashable values, safe to share and to use as dictionary keys.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 
@@ -20,12 +19,88 @@ class InputError(ValueError):
     """
 
 
+class UnsupportedElementError(Exception):
+    """The document uses a BPMN element outside the supported subset."""
+
+    def __init__(self, kind: str, element_id: str = ""):
+        at = f" (id {element_id!r})" if element_id else ""
+        super().__init__(f"unsupported BPMN element {kind!r}{at}")
+        self.kind = kind
+
+
+class MalformedModelError(Exception):
+    """The document is structurally broken (dangling flows, missing parts)."""
+
+
+# ---------------------------------------------------------------------------
+# Values
+
+
+class Value:
+    """Base of the immutable value classes; each behaves as a frozen dataclass.
+
+    Fields are the class annotations, in order, after the parent's; a class
+    attribute of the same name is the default.  A class that declares fields,
+    or derives from `Value` itself, gets one `exec` (a fifth of the cost of
+    `dataclasses`) for an `__init__` calling any `__post_init__`, an `__eq__`
+    true only within the exact same class (`TaskSnd` != `InterSnd`) and a
+    `__hash__` over the fields; `order=True` adds `<`, `<=`, `>`, `>=`, and
+    fields in `uncompared` are left out of these and of `repr`.  `__init__`
+    sets fields through `object.__setattr__`, never the instance dict, which
+    keeps CPython's inline attribute values.
+    """
+
+    _fields: tuple[str, ...] = ()  # every field, in `__init__` order
+    _compared: tuple[str, ...] = ()  # those in equality, hash, order and repr
+
+    def __init_subclass__(cls, uncompared=(), order=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        if not own and Value not in cls.__bases__:
+            return
+        cls._fields = fields = cls._fields + tuple([f for f in own if f not in cls._fields])
+        cls._compared = tuple([f for f in fields if f not in uncompared])
+        params = "".join([f", {f}=_cls.{f}" if hasattr(cls, f) else f", {f}" for f in fields])
+        body = "".join([f"\n    _set(self, {f!r}, {f})" for f in fields])
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        key = "({})".format("".join([f"{{0}}.{f}, " for f in cls._compared]))
+        ops = {"eq": "=="} | (dict(lt="<", le="<=", gt=">", ge=">=") if order else {})
+        source = [f"def __init__(self{params}):{body or ' pass'}",
+                  f"def __hash__(self): return hash({key.format('self')})"]
+        source += [f"def __{name}__(self, other): return {key.format('self')} {op} "
+                   f"{key.format('other')} if other.__class__ is self.__class__ "
+                   "else NotImplemented" for name, op in ops.items()]
+        methods = {}
+        exec("\n".join(source), {"_set": object.__setattr__, "_cls": cls}, methods)
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._compared])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(value: Value, **changes) -> Value:
+    """A copy of `value` with the named fields changed, like `dataclasses.replace`."""
+    for f in value._fields:
+        changes.setdefault(f, getattr(value, f))
+    return value.__class__(**changes)
+
+
 # ---------------------------------------------------------------------------
 # Labels
 
 
-@dataclass(frozen=True)
-class Tau:
+class Tau(Value):
     """The silent action."""
 
     def __str__(self) -> str:
@@ -37,8 +112,7 @@ class Tau:
 TAU = Tau()
 
 
-@dataclass(frozen=True)
-class Comm:
+class Comm(Value):
     """Visible communication label: message sent from `sender` to `receiver`."""
 
     sender: str
@@ -59,8 +133,7 @@ def label_key(label: Label) -> tuple:
     return (1, label.sender, label.receiver, label.message)
 
 
-@dataclass(frozen=True, order=True)
-class MessageEdge:
+class MessageEdge(Value, order=True):
     """A message flow between two pools: (sending pool, receiving pool, message)."""
 
     sender: str
@@ -83,43 +156,36 @@ class MessageEdge:
 # full message edge.
 
 
-@dataclass(frozen=True)
-class StartEvent:
+class StartEvent(Value):
     out: str
 
 
-@dataclass(frozen=True)
-class EndEvent:
+class EndEvent(Value):
     inp: str
     completed: str  # spurious edge collecting tokens of completed instances
 
 
-@dataclass(frozen=True)
-class AndSplit:
+class AndSplit(Value):
     inp: str
     outs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AndJoin:
+class AndJoin(Value):
     ins: tuple[str, ...]
     out: str
 
 
-@dataclass(frozen=True)
-class XorSplit:
+class XorSplit(Value):
     inp: str
     outs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class XorJoin:
+class XorJoin(Value):
     ins: tuple[str, ...]
     out: str
 
 
-@dataclass(frozen=True)
-class ChoreoTask:
+class ChoreoTask(Value):
     """One-way choreography task: atomic exchange of `message` between two roles."""
 
     inp: str
@@ -129,16 +195,14 @@ class ChoreoTask:
     message: str
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(Value):
     """Non-communicating task; a pass-through for the token game."""
 
     inp: str
     out: str
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(Value):
     """Sending node: passes its token on and silently queues `message`."""
 
     inp: str
@@ -151,8 +215,7 @@ class Send:
         return _require_edge(self)
 
 
-@dataclass(frozen=True)
-class Receive:
+class Receive(Value):
     """Receiving node: passes its token on by consuming a queued `message`."""
 
     inp: str
@@ -186,8 +249,7 @@ class InterRcv(Receive):
     """Intermediate message catch event."""
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Value):
     """One alternative of an event-based gateway: consuming `message` marks `out`."""
 
     out: str
@@ -199,8 +261,7 @@ class Branch:
         return _require_edge(self)
 
 
-@dataclass(frozen=True)
-class EventBased:
+class EventBased(Value):
     """Event-based gateway: a race among at least two message receptions."""
 
     inp: str
@@ -230,28 +291,25 @@ def branch_key(b: Branch) -> tuple:
 # Models
 
 
-@dataclass(frozen=True)
-class Choreography:
+class Choreography(Value):
     nodes: tuple[ChoreoNode, ...]
 
 
-@dataclass(frozen=True)
-class Process:
+class Process(Value):
     nodes: tuple[ProcNode, ...]
 
 
-@dataclass(frozen=True)
-class Pool:
+class Pool(Value):
     """A named participant and the process it runs."""
 
     name: str
     nodes: tuple[ProcNode, ...]
 
 
-@dataclass(frozen=True)
-class Collaboration:
+class Collaboration(Value):
+    """Pools side by side; `nodes`, derived and not a field, is all their nodes."""
+
     pools: tuple[Pool, ...]
-    nodes: tuple[ProcNode, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         flat = tuple([n for pool in self.pools for n in pool.nodes])

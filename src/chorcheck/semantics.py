@@ -22,7 +22,6 @@ system whose states are reachable markings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Union
@@ -44,6 +43,7 @@ from .model import (
     Send,
     StartEvent,
     Task,
+    Value,
     XorJoin,
     XorSplit,
     label_key,
@@ -52,8 +52,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ExplorationBounds:
+class ExplorationBounds(Value):
     """Safety limits for state-space exploration; all values must be >= 1."""
 
     max_tokens_per_edge: int = 2
@@ -94,20 +93,19 @@ class BoundExceeded(Exception):
         self.frontier = frontier
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(Value, uncompared=("states",)):
     """A finite labelled transition system with canonical transition order.
 
     Transitions are sorted by (source, label, target) and duplicate-free;
     state 0 is always the initial state for generated systems.  `states`
     optionally carries the marking behind each state index (see `Net`) and
-    is ignored by equality.
+    is left out of equality, hash and repr.
     """
 
     n_states: int
     initial: int
     transitions: tuple[tuple[int, Label, int], ...]
-    states: Optional[tuple] = field(default=None, compare=False, repr=False)
+    states: Optional[tuple] = None
 
     @staticmethod
     def make(n_states, initial, transitions, states=None) -> "Lts":
@@ -146,8 +144,7 @@ class Rule(NamedTuple):
     label: Label
 
 
-@dataclass(frozen=True)
-class Net:
+class Net(Value):
     """A model lowered to numbered places and firing rules.
 
     A place is named by a sequence-edge id (`str`), a `MessageEdge`, or the
@@ -201,11 +198,11 @@ def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
 
 def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
     """Lower a choreography or collaboration into its net; the rules whose
-    label is in `hidden` are labelled τ instead."""
+    label is in `hidden`, a set of `Comm` as for `hide`, are labelled τ."""
     if not isinstance(model, (Choreography, Collaboration)):
         raise TypeError(f"cannot execute {type(model).__name__}")
     collab = isinstance(model, Collaboration)
-    hidden = frozenset(hidden)
+    hidden = _hideable(hidden)
     number: dict = {}
 
     # Per-call tuples here and elsewhere are built from lists: a generator
@@ -496,15 +493,20 @@ def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:
 # Hiding
 
 
+def _hideable(hidden: Iterable[Comm]) -> frozenset:
+    hidden = frozenset(hidden)
+    if any(not isinstance(l, Comm) for l in hidden):
+        raise ValueError("only communication labels can be hidden")
+    return hidden
+
+
 def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
     """Relabel every transition whose label is in `hidden` to tau.
 
     Transitions keep their canonical order: only the run of a source that
     has a hidden label changes, its tau moves (old and new, merged) first.
     """
-    hidden = frozenset(hidden)
-    if any(not isinstance(l, Comm) for l in hidden):
-        raise ValueError("only communication labels can be hidden")
+    hidden = _hideable(hidden)
     if not hidden:
         return lts
     out = []

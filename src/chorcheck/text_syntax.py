@@ -17,7 +17,6 @@ else, whatever the input.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 
 from .model import (
     AndJoin,
@@ -393,13 +392,13 @@ def _check_name(what: str, name) -> None:
 
 def _check_names(node) -> None:
     """Refuse a node whose names would not read back as the same identifiers."""
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in node._fields:
+        value = getattr(node, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, Branch):
                 _check_names(item)
             else:
-                _check_name(_NAME_KIND.get(f.name, "edge"), item)
+                _check_name(_NAME_KIND.get(name, "edge"), item)
 
 
 def _msg_ref(node) -> str:

@@ -358,6 +358,47 @@ def fresh_run(argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def fresh_python(code):
+    """Stdout of `python -c code` in a new interpreter that imports the sources."""
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, check=True)
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses_and_no_xml_reader():
+    """Start-up leaves out `dataclasses` (which imports `inspect`) and the
+    BPMN reader with `xml.etree`; the first BPMN input loads the reader."""
+    out = fresh_python(
+        "import contextlib, io, sys\n"
+        "import chorcheck.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'xml.etree.ElementTree', 'chorcheck.bpmn_xml')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        f"    code = chorcheck.cli.main(['check', {fx('booking_choreography.bpmn')!r},"
+        f" {fx('booking_collaboration.bpmn')!r}, '--report', 'lines'])\n"
+        "print(code, report.getvalue().count('\\n'), 'chorcheck.bpmn_xml' in sys.modules)\n"
+        "import chorcheck.bpmn_xml\n"
+        "print(chorcheck.bpmn_xml.MalformedModelError is chorcheck.MalformedModelError,"
+        " chorcheck.bpmn_xml.UnsupportedElementError is chorcheck.UnsupportedElementError)\n"
+    )
+    assert out == "[]\n4 2 True\nTrue True\n"
+
+
+def test_bpmn_names_load_the_reader_on_first_use():
+    out = fresh_python(
+        "import sys\n"
+        "import chorcheck\n"
+        "print('chorcheck.bpmn_xml' in sys.modules)\n"
+        "from chorcheck import BpmnDocument, load_choreography\n"
+        "print(BpmnDocument.__module__, load_choreography.__name__)\n"
+    )
+    assert out == "False\nchorcheck.bpmn_xml load_choreography\n"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        chorcheck.no_such_name
+
+
 def in_process(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()

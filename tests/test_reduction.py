@@ -16,7 +16,6 @@ import contextlib
 import io
 import random
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 
@@ -41,7 +40,7 @@ from chorcheck import (
 )
 from chorcheck.cli import _print_verdict, main
 from chorcheck.conformance import ConformanceResult, saturate_pair
-from chorcheck.model import TAU
+from chorcheck.model import TAU, replace
 from chorcheck.semantics import DEFAULT_BOUNDS, compile_net, confluent_rules
 from conftest import fixture_path
 from generators import fanin, matched_tuple_pair, xor_tuple_pair

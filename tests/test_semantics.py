@@ -313,6 +313,18 @@ def test_hide_rejects_tau():
         hide(lts, {TAU})
 
 
+@pytest.mark.parametrize("reduce", [False, True])
+def test_exploration_refuses_what_hide_refuses(reduce):
+    """`generate_lts(model, hidden=h)` equals `hide(generate_lts(model), h)`,
+    so a τ in the hidden set is refused by both, not explored unhidden."""
+    collab = parse_collaboration(fixture_text("two_messages_inorder.txt"))
+    hidden = {TAU, Comm("A", "B", "m1")}
+    with pytest.raises(ValueError, match="only communication labels can be hidden"):
+        hide(generate_lts(collab, reduce=reduce), hidden)
+    with pytest.raises(ValueError, match="only communication labels can be hidden"):
+        generate_lts(collab, reduce=reduce, hidden=hidden)
+
+
 def test_hiding_set_of_ack_composition(booking_processes, booking_choreography):
     collab = compose(
         (booking_processes["a"], booking_processes["c"], booking_processes["e"]),
