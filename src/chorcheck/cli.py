@@ -91,8 +91,9 @@ def _load_model(path: str, fmt: str, kind: str):
         return load_choreography(data) if kind == "choreography" else load_collaboration(data)
     text = _read(path)
     if kind == "auto":
-        stripped = re.sub(r"//[^\n]*", "", text).lstrip()
-        kind = "collaboration" if stripped.startswith("pool") else "choreography"
+        # A collaboration may write `|` before its first pool.
+        pool = re.match(r"[\s|]*pool", re.sub(r"//[^\n]*", "", text))
+        kind = "collaboration" if pool else "choreography"
     if kind == "collaboration":
         return parse_collaboration(text)
     try:

@@ -9,7 +9,7 @@ All types are hashable values, safe to share and to use as dictionary keys.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional, Union
+from typing import Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -354,16 +354,18 @@ def target_edges(node) -> tuple[str, ...]:
     raise TypeError(f"unknown node {node!r}")
 
 
-def duplicate_edges(nodes: Iterable) -> tuple[list[str], list[str]]:
+def duplicate_edges(nodes: Sequence) -> tuple[list[str], list[str]]:
     """Edge ids used more than once as a source, resp. as a target."""
-    sources: Counter = Counter()
-    targets: Counter = Counter()
-    for node in nodes:
-        sources.update(source_edges(node))
-        targets.update(target_edges(node))
-    dup_src = sorted(e for e, n in sources.items() if n > 1)
-    dup_tgt = sorted(e for e, n in targets.items() if n > 1)
-    return dup_src, dup_tgt
+    sources = [e for node in nodes for e in source_edges(node)]
+    targets = [e for node in nodes for e in target_edges(node)]
+    return _repeated(sources), _repeated(targets)
+
+
+def _repeated(items: list[str]) -> list[str]:
+    """The items that occur more than once, sorted; counted only if any do."""
+    if len(set(items)) == len(items):
+        return []
+    return sorted(e for e, n in Counter(items).items() if n > 1)
 
 
 # ---------------------------------------------------------------------------

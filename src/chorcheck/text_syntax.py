@@ -63,15 +63,11 @@ class DuplicateEdgeError(ParseError):
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<ident>""" + _IDENT + r""")
-  | (?P<arrow>->)
-  | (?P<punct>[(){},|:])
-    """,
-    re.VERBOSE,
-)
+# A token (group 1) with the whitespace before it, else whitespace or a
+# comment.  Taking the whitespace along saves a match per token.
+_TOKEN_RE = re.compile(r"\s*(" + _IDENT + r"|->|[(){},|:])|\s+|//[^\n]*")
+# The tokens that are not identifiers; "" is the end of input.
+_PUNCT = frozenset({"(", ")", "{", "}", ",", "|", ":", "->", ""})
 
 _KEYWORDS = frozenset(
     {
@@ -95,263 +91,215 @@ _CLASS_OF = {
 }
 _KEYWORD_OF = {cls: word for word, cls in _CLASS_OF.items()}
 
+_EDGE, _PARTICIPANT, _MESSAGE = "edge id", "participant", "message"
+_COMM = (_PARTICIPANT, "->", _PARTICIPANT, ":", _MESSAGE)  # sender->receiver:message
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, then "" for the end of input.
+
+    `split` puts the text between two matches at the even indices: all of it
+    is empty unless a character starts no token, whitespace or comment.
+    """
+    parts = _TOKEN_RE.split(text)
+    if any(parts[::2]):
+        pos = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens = list(filter(None, parts[1::2]))
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token strings.  Positions are token
+    indices; a character offset is worked out only for an error."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    # -- token plumbing ------------------------------------------------
+    def fail(self, message: str, index: int, expected: tuple = (), error=ParseError):
+        """Raise `error` at token `index`, at `len(text)` for the end of input."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text) if m.lastindex]
+        starts.append(len(self.text))
+        raise error(message, starts[index], expected)
 
-    def peek(self):
-        return self.tokens[self.i]
+    def take(self, *shape: str) -> list[str]:
+        """Read one token per entry of `shape`; return the identifiers read.
 
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, pos = self.peek()
-        if text != value or kind == "eof":
-            raise ParseError(
-                f"expected {value!r}, found {text or 'end of input'!r}",
-                pos,
-                expected=(value,),
-            )
-        return self.next()
-
-    def ident(self, what: str = "identifier") -> str:
-        kind, text, pos = self.peek()
-        if kind != "ident":
-            raise ParseError(
-                f"expected {what}, found {text or 'end of input'!r}",
-                pos,
-                expected=(what,),
-            )
-        self.next()
-        return text
-
-    def at(self, value: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind != "eof" and text == value
+        A punctuation entry must be that token; any other entry names the
+        identifier expected there (`_EDGE`, `_PARTICIPANT`, ...).
+        """
+        tokens, i = self.tokens, self.i
+        names = []
+        for want in shape:
+            tok = tokens[i]
+            if want in _PUNCT:
+                if tok != want:
+                    found = tok or "end of input"
+                    self.fail(f"expected {want!r}, found {found!r}", i, (want,))
+            elif tok in _PUNCT:
+                found = tok or "end of input"
+                self.fail(f"expected {want}, found {found!r}", i, (want,))
+            else:
+                names.append(tok)
+            i += 1
+        self.i = i
+        return names
 
     # -- shared pieces ---------------------------------------------------
 
     def edge_set(self) -> tuple[tuple[str, ...], int]:
-        pos = self.peek()[2]
-        self.expect("{")
-        edges = [self.ident("edge id")]
-        while self.at(","):
-            self.next()
-            edges.append(self.ident("edge id"))
-        self.expect("}")
-        return tuple(sorted(edges)), pos
-
-    def comm_triple(self) -> tuple[str, str, str]:
-        sender = self.ident("participant")
-        self.expect("->")
-        receiver = self.ident("participant")
-        self.expect(":")
-        message = self.ident("message")
-        return sender, receiver, message
+        start = self.i
+        edges = self.take("{", _EDGE)
+        while self.tokens[self.i] == ",":
+            edges += self.take(",", _EDGE)
+        self.take("}")
+        return tuple(sorted(edges)), start
 
     def message_ref(self, require_triple: bool):
         """Either `sender->receiver:message` or, for processes, a bare message."""
-        pos = self.peek()[2]
-        first = self.ident("message" if not require_triple else "participant")
-        if self.at("->"):
-            self.next()
-            receiver = self.ident("participant")
-            self.expect(":")
-            message = self.ident("message")
+        start = self.i
+        first, = self.take(_PARTICIPANT if require_triple else _MESSAGE)
+        if self.tokens[self.i] == "->":
+            receiver, message = self.take("->", _PARTICIPANT, ":", _MESSAGE)
             return message, first, receiver
         if require_triple:
-            raise ParseError(
+            self.fail(
                 "collaboration elements need a full sender->receiver:message edge",
-                pos,
+                start,
                 expected=("->",),
             )
         return first, None, None
 
     # -- elements ----------------------------------------------------------
 
-    def gateway_arity(self, edges: tuple[str, ...], pos: int):
+    def gateway_arity(self, edges: tuple[str, ...], start: int):
         if len(edges) < 2:
-            raise ArityError("gateways need more than one branching edge", pos)
+            self.fail("gateways need more than one branching edge", start, error=ArityError)
 
     def element(self, kind: str):
         """One element; `kind` is 'choreography', 'process' or 'collaboration'."""
-        tok_kind, word, pos = self.peek()
-        if tok_kind != "ident" or word not in _KEYWORDS:
-            raise ParseError(
+        start = self.i
+        word = self.tokens[start]
+        if word not in _KEYWORDS:
+            self.fail(
                 f"expected an element keyword, found {word or 'end of input'!r}",
-                pos,
+                start,
                 expected=tuple(sorted(_KEYWORDS - {"pool"})),
             )
-        self.next()
+        self.i += 1
         cls = _CLASS_OF.get(word)
         if word == "start":
-            self.expect("(")
-            out = self.ident("edge id")
-            self.expect(")")
-            return StartEvent(out)
+            return StartEvent(*self.take("(", _EDGE, ")"))
         if word == "end":
-            self.expect("(")
-            inp = self.ident("edge id")
-            self.expect(",")
-            completed = self.ident("edge id")
-            self.expect(")")
-            return EndEvent(inp, completed)
+            return EndEvent(*self.take("(", _EDGE, ",", _EDGE, ")"))
         if cls in (AndSplit, XorSplit):
-            self.expect("(")
-            inp = self.ident("edge id")
-            self.expect(",")
-            outs, set_pos = self.edge_set()
-            self.expect(")")
-            self.gateway_arity(outs, set_pos)
+            inp, = self.take("(", _EDGE, ",")
+            outs, set_start = self.edge_set()
+            self.take(")")
+            self.gateway_arity(outs, set_start)
             return cls(inp, outs)
         if cls in (AndJoin, XorJoin):
-            self.expect("(")
-            ins, set_pos = self.edge_set()
-            self.expect(",")
-            out = self.ident("edge id")
-            self.expect(")")
-            self.gateway_arity(ins, set_pos)
+            self.take("(")
+            ins, set_start = self.edge_set()
+            out, = self.take(",", _EDGE, ")")
+            self.gateway_arity(ins, set_start)
             return cls(ins, out)
         if word == "task":
-            self.expect("(")
-            inp = self.ident("edge id")
-            self.expect(",")
-            out = self.ident("edge id")
-            if kind == "choreography":
-                self.expect(",")
-                sender, receiver, message = self.comm_triple()
-                self.expect(")")
-                if sender == receiver:
-                    raise ParseError(
-                        "choreography task sender and receiver must differ", pos
-                    )
-                return ChoreoTask(inp, out, sender, receiver, message)
-            self.expect(")")
-            return Task(inp, out)
+            if kind != "choreography":
+                return Task(*self.take("(", _EDGE, ",", _EDGE, ")"))
+            inp, out, sender, receiver, message = self.take(
+                "(", _EDGE, ",", _EDGE, ",", *_COMM, ")"
+            )
+            if sender == receiver:
+                self.fail("choreography task sender and receiver must differ", start)
+            return ChoreoTask(inp, out, sender, receiver, message)
         if cls is not None and issubclass(cls, (Send, Receive)):
             if kind == "choreography":
-                raise ParseError(f"{word} is not a choreography element", pos)
-            self.expect("(")
-            inp = self.ident("edge id")
-            self.expect(",")
-            out = self.ident("edge id")
-            self.expect(",")
+                self.fail(f"{word} is not a choreography element", start)
+            inp, out = self.take("(", _EDGE, ",", _EDGE, ",")
             message, sender, receiver = self.message_ref(
                 require_triple=(kind == "collaboration")
             )
-            self.expect(")")
+            self.take(")")
             return cls(inp, out, message, sender, receiver)
         if word == "eventBased":
-            self.expect("(")
-            inp = self.ident("edge id")
-            self.expect(",")
-            self.expect("{")
+            inp, = self.take("(", _EDGE, ",", "{")
             branches = [self.branch(kind)]
-            while self.at(","):
-                self.next()
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 branches.append(self.branch(kind))
-            self.expect("}")
-            self.expect(")")
+            self.take("}", ")")
             if len(branches) < 2:
-                raise ArityError("eventBased needs at least two branches", pos)
+                self.fail("eventBased needs at least two branches", start, error=ArityError)
             return EventBased(inp, tuple(sorted(branches, key=branch_key)))
-        raise ParseError(f"{word} cannot appear here", pos)
+        self.fail(f"{word} cannot appear here", start)
 
     def branch(self, kind: str) -> Branch:
-        pos = self.peek()[2]
-        self.expect("(")
+        start = self.i
+        self.take("(")
         if kind == "choreography":
-            sender, receiver, message = self.comm_triple()
+            sender, receiver, message = self.take(*_COMM)
             if sender == receiver:
-                raise ParseError("branch sender and receiver must differ", pos)
+                self.fail("branch sender and receiver must differ", start)
         else:
             message, sender, receiver = self.message_ref(
                 require_triple=(kind == "collaboration")
             )
-        self.expect(")")
-        out = self.ident("edge id")
+        out, = self.take(")", _EDGE)
         return Branch(out, message, sender, receiver)
 
-    def element_list(self, kind: str, stop: tuple[str, ...]) -> list:
+    def element_list(self, kind: str, stop: tuple[str, ...]) -> tuple:
+        """Elements separated by `|`, up to a token in `stop`."""
         nodes = [self.element(kind)]
-        while True:
-            tok_kind, text, _ = self.peek()
-            if tok_kind == "eof" or text in stop:
-                break
-            self.expect("|")
+        while self.tokens[self.i] not in stop:
+            self.take("|")
             nodes.append(self.element(kind))
-        return nodes
+        return tuple(nodes)
 
     # -- entry points ------------------------------------------------------
 
     def choreography(self) -> Choreography:
-        nodes = self.element_list("choreography", stop=())
-        self.expect_eof()
+        nodes = self.element_list("choreography", ("",))
         self.check_duplicates(nodes)
-        return Choreography(tuple(nodes))
+        return Choreography(nodes)
 
     def process(self) -> Process:
-        nodes = self.element_list("process", stop=())
-        self.expect_eof()
+        nodes = self.element_list("process", ("",))
         self.check_duplicates(nodes)
-        return Process(tuple(nodes))
+        return Process(nodes)
 
     def collaboration(self) -> Collaboration:
         pools = []
         seen = set()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "eof":
-                break
-            if text == "|":
-                self.next()
+        tokens = self.tokens
+        while tokens[self.i]:
+            start = self.i
+            word = tokens[start]
+            self.i += 1
+            if word == "|":
                 continue
-            if text != "pool":
-                raise ParseError(
-                    f"expected 'pool', found {text!r}", pos, expected=("pool",)
-                )
-            self.next()
-            name = self.ident("pool name")
+            if word != "pool":
+                self.fail(f"expected 'pool', found {word!r}", start, expected=("pool",))
+            name, = self.take("pool name")
             if name in seen:
-                raise ParseError(f"pool {name!r} defined twice", pos)
+                self.fail(f"pool {name!r} defined twice", start)
             seen.add(name)
-            self.expect("{")
-            nodes = self.element_list("collaboration", stop=("}",))
-            self.expect("}")
-            pools.append(Pool(name, tuple(nodes)))
+            self.take("{")
+            nodes = self.element_list("collaboration", ("", "}"))
+            self.take("}")
+            pools.append(Pool(name, nodes))
         if not pools:
             raise ParseError("a collaboration needs at least one pool", 0)
         collab = Collaboration(tuple(pools))
         self.check_duplicates(collab.nodes)
         return collab
-
-    def expect_eof(self):
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input starting at {text!r}", pos)
 
     def check_duplicates(self, nodes):
         dup_src, dup_tgt = duplicate_edges(nodes)

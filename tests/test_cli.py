@@ -134,6 +134,18 @@ def test_lts_accepts_bpmn_input(tmp_path):
     assert out.read_bytes().startswith(b"des (")
 
 
+def test_lts_reads_a_collaboration_that_starts_with_a_pipe(tmp_path, capsys):
+    """`--kind auto` looks past leading `|`s, as the collaboration grammar does."""
+    outs = {}
+    for kind in ("auto", "collaboration"):
+        outs[kind] = tmp_path / f"{kind}.aut"
+        code = main(["lts", fx("leading_pipe_collaboration.txt"), "--kind", kind,
+                     "-o", str(outs[kind])])
+        assert code == 0, capsys.readouterr().err
+    assert outs["auto"].read_bytes() == outs["collaboration"].read_bytes()
+    assert outs["auto"].read_bytes().startswith(b"des (0, 16, 12)")
+
+
 def test_check_flags_nonconforming_composition(capsys):
     code = main(check_args("abd"))
     out = capsys.readouterr().out

@@ -4,6 +4,8 @@ import string
 
 import pytest
 
+import chorcheck.text_syntax as text_syntax
+import oracle_text_syntax
 from chorcheck import (
     ArityError,
     BpmnDocument,
@@ -232,3 +234,105 @@ def test_parsers_total_over_noise():
                 parse(text)
             except ParseError:
                 pass  # structured rejection is the only acceptable failure
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the token-tuple parser (tests/oracle_text_syntax.py)
+
+ENTRY_POINTS = ("parse_choreography", "parse_process", "parse_collaboration")
+
+# What a mutation may insert or substitute: punctuation, identifier pieces,
+# keywords, whitespace (Unicode included), a comment start and a few
+# characters that start no token.
+EDITS = list("(){},|:'_aZ \n\t\u00a0§0-/") + [
+    "->", "//", "pool", "pool x {", "task", "start", "end", "andSplit",
+    "xorJoin", "taskRcv", "interSnd", "eventBased", " | ", "}", "{a, b}",
+]
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+LIST_ITEM = re.compile(r",\s*(?:\([^()]*\)\s*)?[A-Za-z_][A-Za-z0-9_]*'*")
+
+
+def outcome(parse, text):
+    """The model's repr, or the error's class, message, position and expected."""
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return type(err), str(err), err.position, err.expected
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three random edits.  Each replaces, inserts or deletes a
+    character, deletes a short stretch or a `, item` of a list (gateway
+    arity), or puts one word of the text in the place of another (repeated
+    edges and pools, self-communication)."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:pos] + rng.choice(EDITS) + text[pos + 1:]
+        elif op == 1:
+            text = text[:pos] + rng.choice(EDITS) + text[pos:]
+        elif op == 2:
+            text = text[:pos] + text[pos + rng.choice((1, 1, 2, 8, 20)):]
+        elif op == 3:
+            words = list(WORD.finditer(text))
+            if words:
+                a, b = rng.choice(words), rng.choice(words)
+                text = text[:a.start()] + b.group() + text[a.end():]
+        else:
+            items = list(LIST_ITEM.finditer(text))
+            if items:
+                item = rng.choice(items)
+                text = text[:item.start()] + text[item.end():]
+    return text
+
+
+def differential_cases(seed: int, mutations: int, noise: int) -> list[str]:
+    """Every text fixture, `mutations` mutants of each, and `noise` strings."""
+    rng = random.Random(seed)
+    texts = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.txt"))]
+    cases = list(texts)
+    for text in texts:
+        cases += [mutate(rng, text) for _ in range(mutations)]
+    charset = string.ascii_letters[:8] + string.digits[:3] + "(){}|,->: \n'\t/§"
+    cases += ["".join(rng.choice(charset) for _ in range(rng.randint(0, 60)))
+              for _ in range(noise)]
+    return cases
+
+
+def test_parser_matches_the_oracle():
+    parsed = 0
+    for text in differential_cases(seed=10, mutations=40, noise=300):
+        for name in ENTRY_POINTS:
+            got = outcome(getattr(text_syntax, name), text)
+            assert got == outcome(getattr(oracle_text_syntax, name), text), (name, text)
+            parsed += isinstance(got, str)
+    assert parsed > 100  # not every mutant is an error
+
+
+# ---------------------------------------------------------------------------
+# Scale guards: a backtracking or quadratic scan runs away on these.
+
+
+def test_long_choreography_parses():
+    n = 20_000
+    tasks = " | ".join(f"task(e{i}, e{i + 1}, a->b:m{i})" for i in range(1, n - 1))
+    ch = parse_choreography(f"start(e1) | {tasks} | end(e{n - 1}, e{n})")
+    assert len(ch.nodes) == n
+
+
+def test_unexpected_character_after_a_megabyte_of_blanks_and_comments():
+    filler = ("   \t\n// any text: § é -> { ( |\n" * 40_000)[: 1 << 20]
+    with pytest.raises(ParseError) as err:
+        parse_choreography(filler + "\n§")
+    assert err.value.position == len(filler) + 1
+    assert str(err.value).startswith("unexpected character '§'")
+
+
+@pytest.mark.parametrize("text, pools", [
+    ("pool p { start(a) | end(a, b) } |", ("p",)),
+    ("| pool p { start(a) | end(a, b) } ||| pool q { start(c) | end(c, d) } | |", ("p", "q")),
+    ("|||| pool p { start(a) | end(a, b) } pool q { start(c) | end(c, d) }||", ("p", "q")),
+])
+def test_pipes_before_between_and_after_pools(text, pools):
+    assert parse_collaboration(text).pool_names() == pools
