@@ -279,12 +279,13 @@ def cmd_check(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    choreo_weak, collab_weak = saturate_pair(choreo, collab)
+    # Both relations are decided on one weak system over the two LTSs.
+    weak = saturate_pair(choreo, collab)
     results = []
     if args.relation in ("tbc", "both"):
-        results.append(check_tbc(choreo_weak, collab_weak))
+        results.append(check_tbc(weak))
     if args.relation in ("bbc", "both"):
-        results.append(check_bbc(choreo_weak, collab_weak))
+        results.append(check_bbc(weak))
     for result in results:
         _print_verdict(result, args.report)
     return 0 if all(r.verdict for r in results) else 4
@@ -316,7 +317,8 @@ def _parser() -> argparse.ArgumentParser:
     p_lts.set_defaults(func=cmd_lts)
 
     p_check = sub.add_parser("check", help="check a collaboration against a choreography")
-    p_check.add_argument("choreography", help="choreography file (text, .bpmn or .aut)")
+    p_check.add_argument("choreography", help="choreography file (text, .bpmn or .aut); labels"
+                         " it does not name are hidden, and an .aut names only reachable ones")
     p_check.add_argument("collaboration", nargs="?",
                          help="collaboration file (text, .bpmn or .aut)")
     p_check.add_argument("--processes",

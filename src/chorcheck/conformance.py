@@ -13,7 +13,8 @@ Two relations are decided, both insensitive to silent moves:
   product state with differing enabled-label sets yields a shortest
   distinguishing trace.
 
-Both work on one weak layer per side (`WeakLts`, shared via `saturate_pair`):
+Both decide on one weak system over the disjoint union of the two LTSs
+(`WeakPair`, built by `saturate_pair` and shareable between the checkers):
 the silent graph condensed into strongly connected components, closures as
 int bitsets, and each visible transition with the closure of its target.
 Weak successor sets are never built in full; both checkers form unions of
@@ -150,22 +151,23 @@ def saturate(lts: Lts) -> WeakLts:
     return WeakLts(lts)
 
 
-System = Union[Lts, WeakLts]
-
-
-def saturate_pair(
-    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
-) -> tuple[WeakLts, WeakLts]:
-    """Both weak systems, `hidden` made silent in the collaboration first.
-
-    A side given as a `WeakLts` is used as it is (already hidden), so one
-    saturated pair can serve both checkers.
+class WeakPair(WeakLts):
+    """The weak system over the disjoint union of a choreography and a
+    collaboration: the choreography's states first, then the collaboration's
+    shifted by `split`.  `initials` holds both initial states.  No silent or
+    visible step crosses from one side to the other.
     """
-    if isinstance(collab, WeakLts) and frozenset(hidden):
-        raise ValueError("labels must be hidden before the collaboration is saturated")
-    wa = choreo if isinstance(choreo, WeakLts) else saturate(choreo)
-    wb = collab if isinstance(collab, WeakLts) else saturate(hide(collab, hidden))
-    return wa, wb
+
+    def __init__(self, choreo: Lts, collab: Lts):
+        self.split = n = choreo.n_states
+        shifted = tuple([(s + n, l, t + n) for s, l, t in collab.transitions])
+        super().__init__(Lts(n + collab.n_states, choreo.initial, choreo.transitions + shifted))
+        self.initials = (choreo.initial, n + collab.initial)
+
+
+def saturate_pair(choreo: Lts, collab: Lts, hidden: Iterable[Comm] = frozenset()) -> WeakPair:
+    """The weak pair of `choreo` and `collab`, `hidden` made silent in `collab`."""
+    return WeakPair(choreo, hide(collab, hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,8 @@ class InternalError(RuntimeError):
     """A checker broke one of its own invariants: a bug, not bad input."""
 
 
-def _refine(wa: WeakLts, wb: WeakLts):
-    """Partition refinement over the disjoint union of two weak systems.
+def _refine(w: WeakLts):
+    """Partition refinement of a weak system, such as a `WeakPair`.
 
     Returns the history of block assignments, one tuple per round, coarsest
     first; the last entry is the stable partition (weak bisimilarity).  A
@@ -223,14 +225,13 @@ def _refine(wa: WeakLts, wb: WeakLts):
     weakly reaches, encoded as one int: silent pairs at bits [0, nb), the
     i-th visible label at [(i + 1)·nb, (i + 2)·nb).
     """
-    na = wa.n_states
-    alphabet = sorted(wa.alphabet | wb.alphabet, key=label_key)
-    block = [0] * (na + wb.n_states)
+    alphabet = sorted(w.alphabet, key=label_key)
+    block = [0] * w.n_states
     history = [tuple(block)]
     while True:
         nb = max(block) + 1
         shift = {l: (i + 1) * nb for i, l in enumerate(alphabet)}
-        sigs = wa._signatures(block[:na], shift) + wb._signatures(block[na:], shift)
+        sigs = w._signatures(block, shift)
         new_ids: dict[tuple, int] = {}
         new = [new_ids.setdefault(key, len(new_ids)) for key in zip(block, sigs)]
         if new == block:
@@ -239,7 +240,7 @@ def _refine(wa: WeakLts, wb: WeakLts):
         history.append(tuple(block))
 
 
-def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
+def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
     """Replay the refinement to a locally distinguishable state pair.
 
     From a non-bisimilar pair, the side separated at round r can always move
@@ -247,7 +248,6 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
     round r-1; following such moves strictly decreases r, and pairs separated
     at round 1 differ on their weakly enabled visible labels.
     """
-    na = wa.n_states
 
     def rank(u: int, v: int) -> int:
         for r, blocks in enumerate(history):
@@ -256,29 +256,20 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
         return -1  # bisimilar
 
     def moves(u: int, action):
-        if action is None:
-            return wa.closure(u) if u < na else frozenset(
-                na + v for v in wb.closure(u - na)
-            )
-        if u < na:
-            return wa.weak_succ(u, action)
-        return frozenset(na + v for v in wb.weak_succ(u - na, action))
+        return w.closure(u) if action is None else w.weak_succ(u, action)
 
-    alphabet = sorted(wa.alphabet | wb.alphabet, key=label_key)
-    sA, sB = wa.initial, na + wb.initial
+    alphabet = sorted(w.alphabet, key=label_key)
+    sA, sB = w.initials
     path: list[Comm] = []
     while True:
         r = rank(sA, sB)
         if r < 1:
             raise InternalError("witness requested for a bisimilar pair")
         if r == 1:
-            ea = wa.enabled(sA)
-            eb = wb.enabled(sB - na)
+            ea, eb = w.enabled(sA), w.enabled(sB)
             offending = min(ea ^ eb, key=label_key)
             side = CHOREOGRAPHY if offending in ea else COLLABORATION
-            return NonSimulablePair(
-                tuple(path), offending, side, sA, sB - na
-            )
+            return NonSimulablePair(tuple(path), offending, side, sA, sB - w.split)
         prev = history[r - 1]
         attack = None
         for action in [None] + alphabet:
@@ -300,20 +291,23 @@ def _bbc_witness(wa: WeakLts, wb: WeakLts, history) -> NonSimulablePair:
         t_new = min(replies, key=lambda t: (rank(s_new, t), t))
         if action is not None:
             path.append(action)
-        pair = (s_new, t_new) if attacker == sA else (t_new, s_new)
-        sA, sB = pair
+        sA, sB = (s_new, t_new) if attacker == sA else (t_new, s_new)
 
 
 def check_bbc(
-    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
+    choreo: Union[Lts, WeakPair],
+    collab: Optional[Lts] = None,
+    hidden: Iterable[Comm] = frozenset(),
 ) -> ConformanceResult:
-    """Weak bisimulation conformance of `collab` (after hiding) against `choreo`."""
-    wa, wb = saturate_pair(choreo, collab, hidden)
-    history = _refine(wa, wb)
+    """Weak bisimulation conformance of `collab` (after hiding) against `choreo`,
+    or of the two sides of a `WeakPair` given alone."""
+    w = choreo if collab is None else saturate_pair(choreo, collab, hidden)
+    history = _refine(w)
     final = history[-1]
-    if final[wa.initial] == final[wa.n_states + wb.initial]:
+    sA, sB = w.initials
+    if final[sA] == final[sB]:
         return ConformanceResult("bbc", True)
-    return ConformanceResult("bbc", False, _bbc_witness(wa, wb, history))
+    return ConformanceResult("bbc", False, _bbc_witness(w, history))
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +315,26 @@ def check_bbc(
 
 
 def check_tbc(
-    choreo: System, collab: System, hidden: Iterable[Comm] = frozenset()
+    choreo: Union[Lts, WeakPair],
+    collab: Optional[Lts] = None,
+    hidden: Iterable[Comm] = frozenset(),
 ) -> ConformanceResult:
-    """Weak trace conformance of `collab` (after hiding) against `choreo`.
+    """Weak trace conformance of `collab` (after hiding) against `choreo`,
+    or of the two sides of a `WeakPair` given alone.
 
     Product states are pairs of silently closed bitsets, so the labels a set
     weakly enables are those whose strong sources it contains.
     """
-    wa, wb = saturate_pair(choreo, collab, hidden)
-    sources_a = [(l, wa._src[l]) for l in sorted(wa.alphabet, key=label_key)]
-    sources_b = [(l, wb._src[l]) for l in sorted(wb.alphabet, key=label_key)]
-    start = (wa._cl[wa.initial], wb._cl[wb.initial])
+    w = choreo if collab is None else saturate_pair(choreo, collab, hidden)
+    sources = [(l, w._src[l]) for l in sorted(w.alphabet, key=label_key)]
+    start = tuple([w._cl[s] for s in w.initials])
     parent: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         key = queue.popleft()
         sa, sb = key
-        ea = [l for l, src in sources_a if sa & src]
-        eb = [l for l, src in sources_b if sb & src]
+        ea = [l for l, src in sources if sa & src]
+        eb = [l for l, src in sources if sb & src]
         if ea != eb:
             offending = min(set(ea) ^ set(eb), key=label_key)
             side = CHOREOGRAPHY if offending in ea else COLLABORATION
@@ -353,7 +349,7 @@ def check_tbc(
                 "tbc", False, DistinguishingTrace(tuple(labels), side)
             )
         for label in ea:
-            nxt = (wa._post(sa, label), wb._post(sb, label))
+            nxt = (w._post(sa, label), w._post(sb, label))
             if nxt not in parent:
                 parent[nxt] = (key, label)
                 queue.append(nxt)

@@ -73,13 +73,14 @@ class BoundExceeded(Exception):
     `states` counts the states reached when exploration stopped and
     `frontier` those of them still waiting to be expanded.  Under
     `generate_lts(..., reduce=True)` the bounds apply to the reduced
-    exploration: the state bound counts representatives, and the token and
-    message bounds are checked on every marking it passes through, those
-    between a representative's step and the representative of its target
-    included (when the initial marking's own representative cannot be
-    reached, no state has been reached yet).  All those markings are
-    reachable, so full exploration then fails a bound too, though possibly
-    the state bound first; the reverse need not hold.
+    exploration: the state bound counts representatives, and also the
+    markings explored to settle one on a confluent cycle (see
+    `_Confluence`); the token and message bounds are checked on every
+    marking it passes through, those between a representative's step and
+    the representative of its target included (when the initial marking's
+    own representative cannot be reached, no state has been reached yet).
+    All those markings are reachable, so full exploration then fails a bound
+    too, though possibly the state bound first; the reverse need not hold.
     """
 
     def __init__(self, kind: str, detail: str, states: int, frontier: int):
@@ -291,6 +292,10 @@ class _Overflow(Exception):
         self.count = count
 
 
+class _TooManyStates(Exception):
+    """More markings were reached than the state bound allows."""
+
+
 class _Confluence:
     """Takes markings to their representatives (see `generate_lts`).
 
@@ -301,12 +306,14 @@ class _Confluence:
     with no exit) could fire for ever, so `feeds` leaves them out; when
     there are any, `settle` then explores the confluent graph of the marking
     it reached and returns the least marking of its one bottom SCC.  Every
-    marking passed through is checked against `caps`.
+    marking passed through is checked against `caps`, and that graph may
+    hold at most `max_states` markings.
     """
 
-    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int]):
+    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int], max_states: int):
         self.rules = rules
         self.caps = caps
+        self.max_states = max_states
         consumer = {p: j for j, (pre, _) in enumerate(rules) for p in pre}
         graph = [[consumer[p] for p in post if p in consumer] for _, post in rules]
         comp, _ = _sccs(graph)
@@ -376,6 +383,8 @@ class _Confluence:
                             raise _Overflow(p, nxt[p])
                     nxt = tuple(nxt)
                     if nxt not in seen:
+                        if len(order) >= self.max_states:
+                            raise _TooManyStates
                         seen[nxt] = len(order)
                         order.append(nxt)
                     succ.append(seen[nxt])
@@ -425,7 +434,9 @@ def generate_lts(
     settle = None
     if reduce:
         chosen = set(confluent_rules(net))
-        confluence = _Confluence([rules[i][:2] for i in sorted(chosen)], caps)
+        confluence = _Confluence(
+            [rules[i][:2] for i in sorted(chosen)], caps, bounds.max_states
+        )
         settle = confluence.settle
         rules = [
             (pre, post, r, confluence.feeds(post))
@@ -465,10 +476,7 @@ def generate_lts(
                     if tgt is None:
                         tgt = len(states)
                         if tgt >= max_states:
-                            raise BoundExceeded(
-                                "states", f"more than {max_states} reachable states",
-                                tgt, tgt - src - 1,
-                            )
+                            raise _TooManyStates
                         index[nxt] = tgt
                         states.append(nxt)
                     steps.append((r, tgt))
@@ -477,6 +485,11 @@ def generate_lts(
             src += 1
     except _Overflow as err:
         raise _overflow(net.places[err.place], err.count, len(states), src) from None
+    except _TooManyStates:
+        raise BoundExceeded(
+            "states", f"more than {max_states} reachable states",
+            len(states), len(states) - src - 1,
+        ) from None
     return Lts(len(states), 0, tuple(transitions), tuple(states))
 
 

@@ -65,6 +65,16 @@ pool A { start(a1) | taskSnd(a1, a2, A->B:m) | taskSnd(a2, a3, A->B:n) | end(a3,
 pool B { start(b1) | taskRcv(b1, b2, A->B:m) | taskRcv(b2, b3, A->B:n) | end(b3, b4) }
 """
 
+# Pool A's five sends are confluent, so settling the initial marking
+# overflows the default message bound before any state is reached, while
+# full exploration interleaves them with B's start and meets a small state
+# bound first.
+FIVE_SENDS = """
+pool A { start(a1) | taskSnd(a1, a2, A->B:m) | taskSnd(a2, a3, A->B:m)
+         | taskSnd(a3, a4, A->B:m) | taskSnd(a4, a5, A->B:m) | taskSnd(a5, a6, A->B:m) }
+pool B { start(b1) | taskRcv(b1, b2, A->B:m) | end(b2, b3) }
+"""
+
 
 def outcome(model, bounds, reduce):
     try:
@@ -211,6 +221,34 @@ def test_bounds_are_checked_on_the_way_to_a_representative():
     assert outcome(collab, bounds, False) == "messages"
 
 
+def looping_pools(k):
+    """`k` pools that each loop silently for ever, through confluent rules only."""
+    return "\n".join(
+        f"pool P{i} {{ start(a{i}) | xorJoin({{a{i}, c{i}}}, b{i}) | task(b{i}, c{i}) }}"
+        for i in range(k)
+    )
+
+
+def test_settling_a_confluent_cycle_counts_against_the_state_bound(tmp_path, capsys):
+    """Settling twelve looping pools explores their 2^12 reachable markings,
+    so a state bound of 10 stops it as it stops full exploration."""
+    collab = parse_collaboration(looping_pools(12))
+    bounds = ExplorationBounds(max_states=10)
+    with pytest.raises(BoundExceeded) as err:
+        generate_lts(collab, bounds, reduce=True)
+    assert (err.value.kind, err.value.states, err.value.frontier) == ("states", 0, 0)
+    assert outcome(collab, bounds, False) == "states"
+    choreo_file, collab_file = tmp_path / "choreo.txt", tmp_path / "collab.txt"
+    choreo_file.write_text("start(s) | end(s, e)")
+    collab_file.write_text(looping_pools(12))
+    code = main(["check", str(choreo_file), str(collab_file), "--max-states", "10"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: states bound exceeded: more than 10 reachable states"
+        " (0 states reached, 0 not yet expanded)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Verdict lines
 
@@ -239,7 +277,7 @@ def checked(a, b, reduce, hidden=frozenset(), bounds=DEFAULT_BOUNDS, explored=No
         return err.kind
     la, lb = explored[keys[0]], explored[keys[1]]
     weak = saturate_pair(la, lb, hidden)
-    return check_tbc(*weak), check_bbc(*weak), la, lb, hidden
+    return check_tbc(weak), check_bbc(weak), la, lb, hidden
 
 
 def verdict_lines(*args, **kwargs):
@@ -396,7 +434,7 @@ def test_reduced_bound_failures_are_full_failures():
     more states, may meet the state bound first."""
     models = [model for _, model in FIXTURE_MODELS]
     models += list(random_collaborations(13, 60))
-    models += [fanin(3)[1], parse_collaboration(FLOODING)]
+    models += [fanin(3)[1], parse_collaboration(FLOODING), parse_collaboration(FIVE_SENDS)]
     kinds, only_full, other_kind = set(), 0, 0
     for bounds in TIGHT_BOUNDS:
         for model in models:

@@ -121,21 +121,37 @@ def test_results_and_weak_sets_equal_the_reference_on_fixtures():
 
 def test_a_shared_saturated_pair_gives_the_same_results():
     for chl, coll, hidden in fixture_systems():
-        wa, wb = saturate_pair(chl, coll, hidden)
-        assert check_tbc(wa, wb) == check_tbc(chl, coll, hidden)
-        assert check_bbc(wa, wb) == check_bbc(chl, coll, hidden)
-    with pytest.raises(ValueError):
-        saturate_pair(wa, wb, hidden)
+        weak = saturate_pair(chl, coll, hidden)
+        assert check_tbc(weak) == check_tbc(chl, coll, hidden)
+        assert check_bbc(weak) == check_bbc(chl, coll, hidden)
+
+
+def test_the_pair_is_the_disjoint_union_of_both_weak_systems():
+    for chl, coll, hidden in fixture_systems():
+        coll = hide(coll, hidden)
+        weak, n = saturate_pair(chl, coll), chl.n_states
+        assert weak.split == n and weak.n_states == n + coll.n_states
+        assert weak.initials == (chl.initial, n + coll.initial)
+        assert weak.alphabet == saturate(chl).alphabet | saturate(coll).alphabet
+        for side, offset in ((saturate(chl), 0), (saturate(coll), n)):
+            for s in range(side.n_states):
+                assert weak.closure(offset + s) == {offset + t for t in side.closure(s)}
+                assert weak.enabled(offset + s) == side.enabled(s)
+                for label in weak.alphabet:
+                    assert weak.weak_succ(offset + s, label) == {
+                        offset + t for t in side.weak_succ(s, label)
+                    }
 
 
 def test_witness_refuses_a_bisimilar_pair():
     rng = random.Random(5)
     a = random_lts(rng, max_states=6)
-    wa, wb = saturate(a), saturate(tau_padded(rng, a))
-    history = _refine(wa, wb)
-    assert history[-1][wa.initial] == history[-1][wa.n_states + wb.initial]
+    weak = saturate_pair(a, tau_padded(rng, a))
+    history = _refine(weak)
+    sa, sb = weak.initials
+    assert history[-1][sa] == history[-1][sb]
     with pytest.raises(InternalError) as info:
-        _bbc_witness(wa, wb, history)
+        _bbc_witness(weak, history)
     assert not isinstance(info.value, ValueError)
 
 
