@@ -7,6 +7,11 @@ Exit codes are a stable contract:
 * 2  the given processes cannot be composed
 * 3  state-space exploration exceeded a bound
 * 4  at least one requested conformance relation does not hold
+
+Commands return 0 or 4 and raise for every other outcome; `main` alone turns
+`InputError` (the readers' errors included), `OSError` and
+`UnicodeDecodeError` into 1, `CompositionError` into 2 and `BoundExceeded`
+into 3.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from .conformance import (
     export_aut,
     parse_aut,
     saturate_pair,
-    AutSyntaxError,
 )
-from .model import InputError, MalformedModelError, UnsupportedElementError
+from .model import InputError
 from .semantics import (
     DEFAULT_BOUNDS,
     BoundExceeded,
@@ -49,10 +53,6 @@ from .text_syntax import (
 _INPUT_ERRORS = (
     OSError,
     UnicodeDecodeError,  # a text or .aut file that is not UTF-8
-    ParseError,
-    MalformedModelError,
-    UnsupportedElementError,
-    AutSyntaxError,
     InputError,
 )
 
@@ -156,57 +156,37 @@ def _split_names(raw: str) -> list[str]:
 
 def _compose_files(files: list[str], raw_names: str):
     """The collaboration of the process `files` under the comma-separated
-    `raw_names`, or the exit code of a failure already reported."""
+    `raw_names`."""
     processes = [parse_process(_read(p)) for p in files]
     names = _split_names(raw_names)
     if len(names) != len(processes):
-        print("error: need as many names as process files", file=sys.stderr)
-        return 1
-    try:
-        return compose(processes, names)
-    except CompositionError as err:
-        print("not composable:")
-        for issue in err.issues:
-            print(f"  {type(issue).__name__}: {issue}")
-        return 2
+        raise InputError("need as many names as process files")
+    return compose(processes, names)
 
 
 def cmd_compose(args) -> int:
-    try:
-        collab = _compose_files(args.files, args.names)
-        if isinstance(collab, int):
-            return collab
-        text = print_model(collab)
-        issues = well_composed(collab)
-        print("well-composed: ok" if not issues else "well-composed: NO")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    collab = _compose_files(args.files, args.names)
+    text = print_model(collab)
+    issues = well_composed(collab)
+    print("well-composed: ok" if not issues else "well-composed: NO")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def cmd_lts(args) -> int:
-    try:
-        lts = _load_model(args.model, args.format, args.kind)
-        if not isinstance(lts, Lts):
-            lts = generate_lts(lts, _bounds(args))
-        data = export_aut(lts)
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.write(data.decode("ascii"))
-    except BoundExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    lts = _load_model(args.model, args.format, args.kind)
+    if not isinstance(lts, Lts):
+        lts = generate_lts(lts, _bounds(args))
+    data = export_aut(lts)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    else:
+        sys.stdout.write(data.decode("ascii"))
     print(f"{lts.n_states} states, {len(lts.transitions)} transitions", file=sys.stderr)
     return 0
 
@@ -239,45 +219,31 @@ def _print_verdict(result, report: str):
 
 
 def cmd_check(args) -> int:
-    try:
-        choreo = _load_model(args.choreography, args.format, "choreography")
+    choreo = _load_model(args.choreography, args.format, "choreography")
+    if args.processes:
+        if args.collaboration:
+            raise InputError("give either a collaboration file or --processes")
+        files = [p.strip() for p in args.processes.split(",") if p.strip()]
+        collab = _compose_files(files, args.names or "")
+    elif args.collaboration:
+        collab = _load_model(args.collaboration, args.format, "collaboration")
+    else:
+        raise InputError("a collaboration file or --processes is required")
 
-        if args.processes:
-            if args.collaboration:
-                print("error: give either a collaboration file or --processes",
-                      file=sys.stderr)
-                return 1
-            files = [p.strip() for p in args.processes.split(",") if p.strip()]
-            collab = _compose_files(files, args.names or "")
-            if isinstance(collab, int):
-                return collab
-        elif args.collaboration:
-            collab = _load_model(args.collaboration, args.format, "collaboration")
-        else:
-            print("error: a collaboration file or --processes is required",
-                  file=sys.stderr)
-            return 1
-
-        # The collaboration's labels that the choreography does not mention
-        # are hidden: a model explores them as τ, an .aut has them relabelled.
-        # Each model is explored as the representatives of its confluent
-        # silent steps, which is branching bisimilar to full exploration, so
-        # verdicts and TBC counterexamples stay the same; the BBC witness is
-        # picked by state number, so on rare models another valid one comes out.
-        bounds = _bounds(args)
-        hidden = hiding_set(choreo, collab)
-        if not isinstance(choreo, Lts):
-            choreo = generate_lts(choreo, bounds, reduce=True)
-        if isinstance(collab, Lts):
-            collab = hide(collab, hidden)
-        else:
-            collab = generate_lts(collab, bounds, reduce=True, hidden=hidden)
-    except BoundExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    # The collaboration's labels that the choreography does not mention
+    # are hidden: a model explores them as τ, an .aut has them relabelled.
+    # Each model is explored as the representatives of its confluent
+    # silent steps, which is branching bisimilar to full exploration, so
+    # verdicts and TBC counterexamples stay the same; the BBC witness is
+    # picked by state number, so on rare models another valid one comes out.
+    bounds = _bounds(args)
+    hidden = hiding_set(choreo, collab)
+    if not isinstance(choreo, Lts):
+        choreo = generate_lts(choreo, bounds, reduce=True)
+    if isinstance(collab, Lts):
+        collab = hide(collab, hidden)
+    else:
+        collab = generate_lts(collab, bounds, reduce=True, hidden=hidden)
 
     # Both relations are decided on one weak system over the two LTSs.
     weak = saturate_pair(choreo, collab)
@@ -333,11 +299,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an outcome becomes an exit code."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CompositionError as err:
+        print("not composable:")
+        for issue in err.issues:
+            print(f"  {type(issue).__name__}: {issue}")
+        return 2
+    except BoundExceeded as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
+    except _INPUT_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 def run():  # console-script entry point

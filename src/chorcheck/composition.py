@@ -90,8 +90,9 @@ def _issue_key(issue: CompositionIssue) -> tuple:
     return (order[type(issue)], issue.message)
 
 
-def _role_occurrences(processes, names, role: str) -> dict[str, list[tuple[str, int]]]:
-    """Message name -> (participant, node index) occurrences for one role."""
+def _message_map(processes, names, role: str):
+    """Message name -> participant for one role ("send" or "receive"), and a
+    clash for each name claimed by more than one node."""
     occ: dict[str, list[tuple[str, int]]] = {}
     want_send = role == "send"
     for proc, name in zip(processes, names):
@@ -99,31 +100,30 @@ def _role_occurrences(processes, names, role: str) -> dict[str, list[tuple[str, 
             for part in message_parts(node):
                 if isinstance(part, Send) == want_send:
                     occ.setdefault(part.message, []).append((name, i))
-    return occ
-
-
-def _message_map(processes, names, role: str) -> dict[str, str]:
-    occ = _role_occurrences(processes, names, role)
     clashes = [
         MessageNameClash(m, role, tuple(locs))
         for m, locs in sorted(occ.items())
         if len(locs) > 1
     ]
+    return {m: locs[0][0] for m, locs in occ.items()}, clashes
+
+
+def _role_map(processes, names, role: str) -> dict[str, str]:
+    _check_shapes(processes, names)
+    mapping, clashes = _message_map(processes, names, role)
     if clashes:
         raise CompositionError(clashes)
-    return {m: locs[0][0] for m, locs in occ.items()}
+    return mapping
 
 
 def snd_map(processes: Sequence[Process], names: Sequence[str]) -> dict[str, str]:
     """Message name -> sending participant, over all sending tasks and events."""
-    _check_shapes(processes, names)
-    return _message_map(processes, names, "send")
+    return _role_map(processes, names, "send")
 
 
 def rcv_map(processes: Sequence[Process], names: Sequence[str]) -> dict[str, str]:
     """Message name -> receiving participant, over receives and gateway branches."""
-    _check_shapes(processes, names)
-    return _message_map(processes, names, "receive")
+    return _role_map(processes, names, "receive")
 
 
 def _check_shapes(processes, names):
@@ -158,17 +158,9 @@ def compose(processes: Sequence[Process], names: Sequence[str]) -> Collaboration
         dup = (dup_src + dup_tgt)[0]
         raise InputError(f"edge id {dup!r} is used by more than one process")
 
-    issues: list[CompositionIssue] = []
-    snd: dict[str, str] = {}
-    rcv: dict[str, str] = {}
-    try:
-        snd = snd_map(processes, names)
-    except CompositionError as err:
-        issues.extend(err.issues)
-    try:
-        rcv = rcv_map(processes, names)
-    except CompositionError as err:
-        issues.extend(err.issues)
+    snd, send_clashes = _message_map(processes, names, "send")
+    rcv, receive_clashes = _message_map(processes, names, "receive")
+    issues: list[CompositionIssue] = send_clashes + receive_clashes
     if not issues:
         for m in sorted(snd):
             if m not in rcv:

@@ -144,7 +144,12 @@ class WeakLts:
             for x, targets in adj.items():
                 for y in targets:
                     visible[x] |= reach[y] << shift[label]
-        return [r | v for r, v in zip(reach, self._over_closure(visible))]
+        # Rebinding frees the unclosed list and `reach` is ORed in place, so
+        # fewer union-wide lists of masks are alive at once.
+        visible = self._over_closure(visible)
+        for s, r in enumerate(reach):
+            visible[s] |= r
+        return visible
 
 
 def saturate(lts: Lts) -> WeakLts:
@@ -360,7 +365,7 @@ def check_tbc(
 # Aldebaran (.aut) interchange
 
 
-class AutSyntaxError(Exception):
+class AutSyntaxError(InputError):
     """Malformed .aut content; `line` is the 1-based offending line number."""
 
     def __init__(self, message: str, line: int):

@@ -16,10 +16,11 @@ class InputError(ValueError):
     """A model, name or setting given by the user cannot be used as it is.
 
     Raised only where user input reaches; any other ValueError is a bug.
+    The text, `.aut` and BPMN readers' errors are subclasses.
     """
 
 
-class UnsupportedElementError(Exception):
+class UnsupportedElementError(InputError):
     """The document uses a BPMN element outside the supported subset."""
 
     def __init__(self, kind: str, element_id: str = ""):
@@ -28,7 +29,7 @@ class UnsupportedElementError(Exception):
         self.kind = kind
 
 
-class MalformedModelError(Exception):
+class MalformedModelError(InputError):
     """The document is structurally broken (dangling flows, missing parts)."""
 
 

@@ -45,7 +45,7 @@ from .model import (
 )
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """Malformed model text; `position` is a character offset into the input."""
 
     def __init__(self, message: str, position: int, expected: tuple = ()):

@@ -23,10 +23,12 @@ from chorcheck import (
     export_aut,
     generate_lts,
     hide,
+    parse_aut,
     parse_choreography,
     print_model,
 )
 from chorcheck.cli import main
+from chorcheck.conformance import InternalError
 from conftest import GOLDEN, fixture_path
 
 
@@ -217,6 +219,25 @@ def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+THREE_PROCESSES = [fx(PROCESSES[x]) for x in "abd"]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["check", fx("booking_choreography.txt"), fx("booking_collaboration.txt"),
+      "--processes", ",".join(THREE_PROCESSES), "--names", "bk,c,bs"],
+     "error: give either a collaboration file or --processes\n"),
+    (["check", fx("booking_choreography.txt")],
+     "error: a collaboration file or --processes is required\n"),
+    (["check", fx("booking_choreography.txt"),
+      "--processes", ",".join(THREE_PROCESSES), "--names", "bk,c"],
+     "error: need as many names as process files\n"),
+    (["compose", *THREE_PROCESSES, "--names", "bk,c"],
+     "error: need as many names as process files\n"),
+], ids=["collaboration and processes", "neither", "check name count", "compose name count"])
+def test_usage_errors_name_the_problem(argv, err, capsys):
+    assert in_process(argv, capsys) == (1, "", err)
+
+
 def test_lts_reports_state_counts(capsys):
     code = main(["lts", fx("minimal_choreography.txt")])
     captured = capsys.readouterr()
@@ -231,6 +252,23 @@ def test_lts_echoes_aut_input(tmp_path, capsys):
     assert main(["lts", fx("booking_choreography.txt"), "-o", str(first)]) == 0
     assert main(["lts", str(first), "-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_format_overrides_the_suffix(tmp_path, capsys):
+    exported = tmp_path / "collaboration.txt"
+    echoed = tmp_path / "echo.aut"
+    assert in_process(["lts", fx("booking_collaboration.txt"), "-o", str(exported)],
+                      capsys)[0] == 0
+    assert in_process(["lts", str(exported), "-o", str(echoed)], capsys)[0] == 1
+    assert in_process(["lts", str(exported), "--format", "aut", "-o", str(echoed)],
+                      capsys)[0] == 0
+    assert echoed.read_bytes() == exported.read_bytes()
+
+    model = tmp_path / "choreography.xml"
+    model.write_text(fixture_path("booking_choreography.txt").read_text())
+    as_text = in_process(["lts", fx("booking_choreography.txt")], capsys)
+    assert in_process(["lts", str(model), "--format", "text"], capsys) == as_text
+    assert as_text[0] == 0
 
 
 def test_lts_rejects_labels_aut_cannot_carry(tmp_path, capsys):
@@ -313,7 +351,13 @@ def test_lts_of_a_malformed_choreography_keeps_its_parse_error(tmp_path, capsys)
     lambda: compose([Process(())], ["a", "b"]),
     lambda: print_model(compose([Process(())], ["Customer A"])),
     lambda: export_aut(Lts(2, 0, ((0, Comm("a", "b", "pay (card)"), 1),))),
-], ids=["bounds", "duplicate names", "shape", "identifier", "aut label"])
+    lambda: parse_choreography("start(a) |"),
+    lambda: parse_aut("des (0, 1, 2)\n"),
+    lambda: chorcheck.BpmnDocument.from_text(b"<definitions>"),
+    lambda: chorcheck.load_choreography(chorcheck.BpmnDocument.from_text(
+        fixture_path("two_way_task.bpmn").read_bytes().replace(b"endEvent", b"subProcess"))),
+], ids=["bounds", "duplicate names", "shape", "identifier", "aut label",
+        "text syntax", "aut syntax", "malformed XML", "unsupported element"])
 def test_user_input_errors_have_their_own_type(make):
     with pytest.raises(InputError):
         make()
@@ -338,6 +382,20 @@ def test_internal_value_error_is_not_reported_as_an_input_error(monkeypatch, cap
     with pytest.raises(ValueError, match="internal inconsistency"):
         main(["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt")])
     assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    ValueError("internal inconsistency"),
+    InternalError("separated pair without a distinguishing move"),
+], ids=["value error", "internal error"])
+def test_errors_while_deciding_are_not_reported_as_input_errors(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "check_bbc", broken)
+    with pytest.raises(type(error), match=str(error)):
+        main(["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt")])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
