@@ -73,12 +73,11 @@ class BoundExceeded(Exception):
     `states` counts the states reached when exploration stopped and
     `frontier` those of them still waiting to be expanded.  Under
     `generate_lts(..., reduce=True)` the bounds apply to the reduced
-    exploration: the state bound counts representatives, and also the
-    markings explored to settle one on a confluent cycle (see
-    `_Confluence`); the token and message bounds are checked on every
-    marking it passes through, those between a representative's step and
-    the representative of its target included (when the initial marking's
-    own representative cannot be reached, no state has been reached yet).
+    exploration: the state bound counts representatives, and the token and
+    message bounds are checked on every marking it passes through, those
+    between a representative's step and the representative of its target
+    included (when the initial marking's own representative cannot be
+    reached, no state has been reached yet).
     All those markings are reachable, so full exploration then fails a bound
     too, though possibly the state bound first; the reverse need not hold.
     """
@@ -224,19 +223,36 @@ def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
 
 
 def confluent_rules(net: Net) -> tuple[int, ...]:
-    """Indices of the rules that are silent and sole consumers of their pre-places.
+    """Indices of the confluent rules: silent, sole consumers of their
+    pre-places, and on no cycle of such rules.
 
     Once such a rule is enabled no other rule can disable it, and firing it
     disables no other rule, so it commutes with every other step: it is
     τ-confluent.  XOR splits share their pre-place, so they are never
     confluent; a receive is confluent only when its label is hidden (see
-    `compile_net`).
+    `compile_net`).  Rules on a cycle (a pool looping through `xorJoin` and
+    `task`) could fire for ever, so they are left to exploration as ordinary
+    silent steps, and the confluent rules always stop firing.
     """
+    return tuple(sorted(_confluent_sinks_first(net)))
+
+
+def _confluent_sinks_first(net: Net) -> list[int]:
+    """`confluent_rules`, each after the confluent rules that consume what it
+    produces."""
     consumers = Counter(p for rule in net.rules for p in rule.pre)
-    return tuple([
+    silent = [
         i for i, rule in enumerate(net.rules)
         if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
-    ])
+    ]
+    consumer = {p: j for j, i in enumerate(silent) for p in net.rules[i].pre}
+    graph = [[consumer[p] for p in net.rules[i].post if p in consumer] for i in silent]
+    comp, _ = _sccs(graph)
+    size = Counter(comp)
+    return [
+        silent[j] for j in sorted(range(len(silent)), key=comp.__getitem__)
+        if size[comp[j]] == 1 and j not in graph[j]
+    ]
 
 
 def _sccs(adj: list[list[int]]) -> tuple[list[int], int]:
@@ -292,51 +308,34 @@ class _Overflow(Exception):
         self.count = count
 
 
-class _TooManyStates(Exception):
-    """More markings were reached than the state bound allows."""
-
-
 class _Confluence:
     """Takes markings to their representatives (see `generate_lts`).
 
-    `rules` holds `(pre, post)` for each confluent rule.  A place has at most
-    one confluent consumer, so `feeds(post)` names the rules a firing into
-    `post` can enable, and `settle` re-tests only those.  Rules on a cycle
-    of the confluent rule graph (a pool looping through `xorJoin` and `task`
-    with no exit) could fire for ever, so `feeds` leaves them out; when
-    there are any, `settle` then explores the confluent graph of the marking
-    it reached and returns the least marking of its one bottom SCC.  Every
-    marking passed through is checked against `caps`, and that graph may
-    hold at most `max_states` markings.
+    `rules` holds `(pre, post)` for each confluent rule, sinks first (see
+    `_confluent_sinks_first`).  A place has at most one confluent consumer,
+    so `feeds(post)` names the rules a firing into `post` can enable, and
+    `settle` re-tests only those.  Every marking passed through is checked
+    against `caps`.
     """
 
-    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int], max_states: int):
-        self.rules = rules
+    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int]):
         self.caps = caps
-        self.max_states = max_states
-        consumer = {p: j for j, (pre, _) in enumerate(rules) for p in pre}
-        graph = [[consumer[p] for p in post if p in consumer] for _, post in rules]
-        comp, _ = _sccs(graph)
-        size = Counter(comp)
-        cyclic = {j for j, succ in enumerate(graph) if size[comp[j]] > 1 or j in succ}
-        self.cyclic = bool(cyclic)
-        self._consumer = {p: j for p, j in consumer.items() if j not in cyclic}
-        # (pre, post, fed) per rule off the cycles, with `fed` the rules that
-        # consume from `post`, built sinks first so that these exist already.
-        self._built = {}
-        for j in sorted(set(range(len(rules))) - cyclic, key=comp.__getitem__):
-            pre, post = rules[j]
-            self._built[j] = (pre, post, self.feeds(post))
+        # (pre, post, fed) per consumed place, with `fed` the rules that
+        # consume from `post`: built sinks first, so that these exist already.
+        self._consumer = {}
+        for pre, post in rules:
+            built = (pre, post, self.feeds(post))
+            for p in pre:
+                self._consumer[p] = built
 
     def feeds(self, post) -> tuple:
-        """The confluent rules off the cycles that consume from `post`."""
-        return tuple([self._built[self._consumer[p]] for p in post if p in self._consumer])
+        """The confluent rules that consume from `post`."""
+        return tuple([self._consumer[p] for p in post if p in self._consumer])
 
     def settle(self, m: list, fed: tuple) -> tuple:
         """The representative of marking `m` (a list, changed in place).
 
-        Of the confluent rules off the cycles, only those in `fed` may be
-        enabled in `m`.
+        Of the confluent rules, only those in `fed` may be enabled in `m`.
         """
         caps = self.caps
         todo = list(fed)
@@ -357,40 +356,7 @@ class _Confluence:
                     todo += more
                     continue
                 break
-        return self._bottom(tuple(m)) if self.cyclic else tuple(m)
-
-    def _bottom(self, start: tuple) -> tuple:
-        """The least marking of the one bottom SCC of `start`'s confluent graph.
-
-        `start` reaches every marking explored, so the first component
-        Tarjan's algorithm completes (number 0) is that bottom SCC.
-        """
-        caps = self.caps
-        seen = {start: 0}
-        order = [start]
-        graph = []
-        for m in order:  # grows as new markings are found
-            succ = []
-            for pre, post in self.rules:
-                if all(m[p] for p in pre):
-                    nxt = list(m)
-                    for p in pre:
-                        nxt[p] -= 1
-                    for p in post:
-                        nxt[p] += 1
-                    for p in post:
-                        if nxt[p] > caps[p]:
-                            raise _Overflow(p, nxt[p])
-                    nxt = tuple(nxt)
-                    if nxt not in seen:
-                        if len(order) >= self.max_states:
-                            raise _TooManyStates
-                        seen[nxt] = len(order)
-                        order.append(nxt)
-                    succ.append(seen[nxt])
-            graph.append(succ)
-        comp, _ = _sccs(graph)
-        return min([m for m, c in zip(order, comp) if c == 0])
+        return tuple(m)
 
 
 def generate_lts(
@@ -412,15 +378,16 @@ def generate_lts(
     With `reduce`, exploration visits representatives only (Groote & van de
     Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
     `confluent_rules`; a rule with a hidden label may be one) commute with
-    every other step and no step disables them, so the markings joined by
-    confluent steps fall into classes with one bottom SCC each; a class is
-    represented by the least marking of that SCC, which without a confluent
-    cycle is simply the marking in which no confluent rule is enabled.  From each representative, each enabled non-confluent rule
-    fires once and leads to the representative of its target.  Confluent
-    steps are left out, so the result has no τ-transitions apart from XOR
-    splits.  It is branching bisimilar to the full LTS with the same labels
-    hidden, and every state is a reachable marking.  The bounds then apply
-    to the reduced exploration (see `BoundExceeded`).
+    every other step, no step disables them and they always stop firing, so
+    the markings joined by confluent steps fall into classes, each
+    represented by its one marking in which no confluent rule is enabled.
+    From each representative, each enabled non-confluent rule fires once
+    and leads to the representative of its target.  Confluent steps are
+    left out, so τ-transitions remain only for the other silent rules, such
+    as XOR splits and the steps of silent loops.  The result is branching
+    bisimilar to the full LTS with the same labels hidden, and every state
+    is a reachable marking.  The bounds then apply to the reduced
+    exploration (see `BoundExceeded`).
     """
     net = compile_net(model, hidden)
     caps = [
@@ -433,10 +400,9 @@ def generate_lts(
     rules = [(rule.pre, rule.post, rank[rule.label], ()) for rule in net.rules]
     settle = None
     if reduce:
-        chosen = set(confluent_rules(net))
-        confluence = _Confluence(
-            [rules[i][:2] for i in sorted(chosen)], caps, bounds.max_states
-        )
+        order = _confluent_sinks_first(net)
+        confluence = _Confluence([rules[i][:2] for i in order], caps)
+        chosen = set(order)
         settle = confluence.settle
         rules = [
             (pre, post, r, confluence.feeds(post))
@@ -476,7 +442,10 @@ def generate_lts(
                     if tgt is None:
                         tgt = len(states)
                         if tgt >= max_states:
-                            raise _TooManyStates
+                            raise BoundExceeded(
+                                "states", f"more than {max_states} reachable states",
+                                len(states), len(states) - src - 1,
+                            )
                         index[nxt] = tgt
                         states.append(nxt)
                     steps.append((r, tgt))
@@ -485,11 +454,6 @@ def generate_lts(
             src += 1
     except _Overflow as err:
         raise _overflow(net.places[err.place], err.count, len(states), src) from None
-    except _TooManyStates:
-        raise BoundExceeded(
-            "states", f"more than {max_states} reachable states",
-            len(states), len(states) - src - 1,
-        ) from None
     return Lts(len(states), 0, tuple(transitions), tuple(states))
 
 

@@ -42,21 +42,11 @@ from chorcheck.cli import _print_verdict, main
 from chorcheck.conformance import ConformanceResult, saturate_pair
 from chorcheck.model import TAU, replace
 from chorcheck.semantics import DEFAULT_BOUNDS, compile_net, confluent_rules
-from conftest import fixture_path
+from conftest import fixture_path, fixture_text
 from generators import fanin, matched_tuple_pair, xor_tuple_pair
 from test_conformance import assert_replays
 from test_net_semantics import FIXTURE_MODELS, FLOODING, TIGHT_BOUNDS, random_collaborations
 from test_weak_layer import ROLE_ASSIGNMENTS, STUDY_PAIRS
-
-# Pool A loops silently for ever, through confluent rules only, while pool B
-# can still receive.  Every representative lies on A's loop with confluent
-# rules still enabled: settling must stop there instead of spinning, and
-# B's receive must still be explored from it.
-IGNORING_COLLABORATION = """
-pool A { start(a1) | taskSnd(a1, a2, A->B:m) | xorJoin({a2, a4}, a3) | task(a3, a4) }
-pool B { start(b1) | taskRcv(b1, b2, A->B:m) | end(b2, b3) }
-"""
-IGNORING_CHOREOGRAPHY = "start(c1) | task(c1, c2, A->B:m) | end(c2, c3)"
 
 # Both sends are confluent: they reach the representative of the initial
 # marking with two messages in flight.
@@ -222,21 +212,42 @@ def test_bounds_are_checked_on_the_way_to_a_representative():
 
 
 def looping_pools(k):
-    """`k` pools that each loop silently for ever, through confluent rules only."""
+    """`k` pools that each loop silently for ever."""
     return "\n".join(
         f"pool P{i} {{ start(a{i}) | xorJoin({{a{i}, c{i}}}, b{i}) | task(b{i}, c{i}) }}"
         for i in range(k)
     )
 
 
-def test_settling_a_confluent_cycle_counts_against_the_state_bound(tmp_path, capsys):
-    """Settling twelve looping pools explores their 2^12 reachable markings,
-    so a state bound of 10 stops it as it stops full exploration."""
+def test_confluent_rules_leave_out_silent_loops():
+    collab = parse_collaboration(looping_pools(2))
+    net = compile_net(collab)
+    kept = [
+        (type(collab.nodes[net.rules[i].node]).__name__, net.places[net.rules[i].pre[0]])
+        for i in confluent_rules(net)
+    ]
+    # Each pool's start and the xorJoin rule that enters its loop, but not
+    # the loop's back edge into the xorJoin nor its task.
+    assert kept == [("StartEvent", 0), ("XorJoin", "a0"), ("StartEvent", 3), ("XorJoin", "a1")]
+
+
+def test_reduced_exploration_keeps_silent_loops():
+    """Each pool's loop stays in the reduced system: one state per choice
+    of where each pool is on its loop."""
+    collab = parse_collaboration(looping_pools(3))
+    assert generate_lts(collab, reduce=True).n_states == 8
+    assert_representatives(collab)
+
+
+def test_reduced_exploration_of_twelve_looping_pools_meets_the_state_bound(tmp_path, capsys):
+    """The initial representative has all twelve loops entered, and its
+    twelve loop steps lead to new states: a state bound of 10 stops the
+    reduced exploration there, and full exploration too."""
     collab = parse_collaboration(looping_pools(12))
     bounds = ExplorationBounds(max_states=10)
     with pytest.raises(BoundExceeded) as err:
         generate_lts(collab, bounds, reduce=True)
-    assert (err.value.kind, err.value.states, err.value.frontier) == ("states", 0, 0)
+    assert (err.value.kind, err.value.states, err.value.frontier) == ("states", 10, 9)
     assert outcome(collab, bounds, False) == "states"
     choreo_file, collab_file = tmp_path / "choreo.txt", tmp_path / "collab.txt"
     choreo_file.write_text("start(s) | end(s, e)")
@@ -245,7 +256,7 @@ def test_settling_a_confluent_cycle_counts_against_the_state_bound(tmp_path, cap
     assert code == 3
     assert capsys.readouterr().err == (
         "error: states bound exceeded: more than 10 reachable states"
-        " (0 states reached, 0 not yet expanded)\n"
+        " (10 states reached, 9 not yet expanded)\n"
     )
 
 
@@ -319,8 +330,8 @@ def test_random_verdict_lines_equal_full_exploration(seed):
 
 
 def test_ignoring_loop_keeps_the_other_pools_moves():
-    choreography = parse_choreography(IGNORING_CHOREOGRAPHY)
-    collaboration = parse_collaboration(IGNORING_COLLABORATION)
+    choreography = parse_choreography(fixture_text("ignoring_loop_choreography.txt"))
+    collaboration = parse_collaboration(fixture_text("ignoring_loop_collaboration.txt"))
     expected = verdict_lines(choreography, collaboration, False)
     assert expected == "tbc true\nbbc true\n"
     assert verdict_lines(choreography, collaboration, True) == expected
@@ -482,5 +493,7 @@ def test_check_on_an_unbounded_choreography_exits_3_and_names_the_edge(capsys):
     code = main(["check", str(fixture_path("looping_andsplit.txt")),
                  str(fixture_path("two_messages_inorder.txt"))])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: tokens bound exceeded: edge 'w3' would hold 3 tokens (")
+    assert capsys.readouterr().err == (
+        "error: tokens bound exceeded: edge 'w5' would hold 3 tokens"
+        " (5 states reached, 0 not yet expanded)\n"
+    )
