@@ -399,10 +399,12 @@ def export_aut(lts: Lts) -> bytes:
     `(from, "label", to)` line per transition in canonical order; visible
     labels are rendered `sender->receiver:message` and silent ones `tau`.
     """
-    labels = dict.fromkeys(label for _, label, _ in lts.transitions)
-    text = {label: _render_label(label) for label in labels}
+    # Each label object is rendered once, in order of first use, and looked
+    # up by identity: hashing a label calls Python code.
+    labels = {id(label): label for _, label, _ in lts.transitions}
+    middle = {i: f', "{_render_label(label)}", ' for i, label in labels.items()}
     lines = [f"des ({lts.initial}, {len(lts.transitions)}, {lts.n_states})"]
-    lines += [f'({src}, "{text[label]}", {tgt})' for src, label, tgt in lts.transitions]
+    lines += [f"({src}{middle[id(label)]}{tgt})" for src, label, tgt in lts.transitions]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

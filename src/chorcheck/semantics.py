@@ -21,10 +21,9 @@ system whose states are reachable markings.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     TAU,
@@ -43,6 +42,7 @@ from .model import (
     Send,
     StartEvent,
     Task,
+    Tau,
     Value,
     XorJoin,
     XorSplit,
@@ -190,9 +190,11 @@ def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
     if isinstance(node, Send):
         return [((node.inp,), (node.out, node.edge()), TAU)]
     if isinstance(node, Receive):
-        return [((node.inp, node.edge()), (node.out,), node.edge().label())]
+        edge = node.edge()
+        return [((node.inp, edge), (node.out,), edge.label())]
     if isinstance(node, EventBased):
-        return [((node.inp, b.edge()), (b.out,), b.edge().label()) for b in node.branches]
+        edges = [b.edge() for b in node.branches]
+        return [((node.inp, e), (b.out,), e.label()) for b, e in zip(node.branches, edges)]
     raise TypeError(f"node {node!r} is not a collaboration element")
 
 
@@ -204,22 +206,25 @@ def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
     collab = isinstance(model, Collaboration)
     hidden = _hideable(hidden)
     number: dict = {}
-
+    rules = []
     # Per-call tuples here and elsewhere are built from lists: a generator
     # gives `tuple` no length hint, so the tuple is resized and later freed
     # onto the free list of another size, which only a full collection
-    # empties (`test_repeated_checks_leave_no_memory_behind`).
-    def numbered(names) -> tuple[int, ...]:
-        return tuple([number.setdefault(name, len(number)) for name in names])
-
-    rules = tuple([
-        Rule(i, numbered(pre), numbered(post), TAU if label in hidden else label)
-        for i, node in enumerate(model.nodes)
-        for pre, post, label in _node_rules(i, node, collab)
-    ])
+    # empties (`test_repeated_checks_leave_no_memory_behind`).  Plain loops
+    # number the places: before Python 3.12 a comprehension is a function
+    # call, here one per rule end.
+    for i, node in enumerate(model.nodes):
+        for pre, post, label in _node_rules(i, node, collab):
+            ends = []
+            for names in pre, post:
+                places = []
+                for name in names:
+                    places.append(number.setdefault(name, len(number)))
+                ends.append(tuple(places))
+            rules.append(Rule(i, *ends, TAU if hidden and label in hidden else label))
     names = tuple(number)
     initial = tuple([int(isinstance(name, int)) for name in names])
-    return Net(names, initial, rules)
+    return Net(names, initial, tuple(rules))
 
 
 def confluent_rules(net: Net) -> tuple[int, ...]:
@@ -240,15 +245,30 @@ def confluent_rules(net: Net) -> tuple[int, ...]:
 def _confluent_sinks_first(net: Net) -> list[int]:
     """`confluent_rules`, each after the confluent rules that consume what it
     produces."""
-    consumers = Counter(p for rule in net.rules for p in rule.pre)
-    silent = [
-        i for i, rule in enumerate(net.rules)
-        if rule.label == TAU and all(consumers[p] == 1 for p in rule.pre)
-    ]
-    consumer = {p: j for j, i in enumerate(silent) for p in net.rules[i].pre}
-    graph = [[consumer[p] for p in net.rules[i].post if p in consumer] for i in silent]
-    comp, _ = _sccs(graph)
-    size = Counter(comp)
+    rules = net.rules
+    owner = [-1] * len(net.places)  # a place's one consumer; -2 if it has more
+    for i, rule in enumerate(rules):
+        for p in rule.pre:
+            owner[p] = i if owner[p] == -1 else -2
+    silent = []
+    for i, (_, pre, _, label) in enumerate(rules):
+        if isinstance(label, Tau):
+            for p in pre:
+                if owner[p] != i:
+                    break
+            else:
+                silent.append(i)
+    consumer = {}
+    for j, i in enumerate(silent):
+        for p in rules[i].pre:
+            consumer[p] = j
+    graph = []
+    for i in silent:
+        graph.append([consumer[p] for p in rules[i].post if p in consumer])
+    comp, n_comp = _sccs(graph)
+    size = [0] * n_comp
+    for c in comp:
+        size[c] += 1
     return [
         silent[j] for j in sorted(range(len(silent)), key=comp.__getitem__)
         if size[comp[j]] == 1 and j not in graph[j]
@@ -299,6 +319,9 @@ def _sccs(adj: list[list[int]]) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # LTS generation
 
+# A larger cap is taken as this one: no run fires often enough to reach it.
+_MAX_CAP = 1 << 62
+
 
 class _Overflow(Exception):
     """Place `place` would hold `count` tokens, more than its bound."""
@@ -308,55 +331,120 @@ class _Overflow(Exception):
         self.count = count
 
 
-class _Confluence:
-    """Takes markings to their representatives (see `generate_lts`).
+class _Packing:
+    """Markings of a net packed into one `int` each (see `generate_lts`).
 
-    `rules` holds `(pre, post)` for each confluent rule, sinks first (see
-    `_confluent_sinks_first`).  A place has at most one confluent consumer,
-    so `feeds(post)` names the rules a firing into `post` can enable, and
-    `settle` re-tests only those.  Every marking passed through is checked
-    against `caps`.
+    Place p is the field of `width` bits at offset `width * p`; `width` is
+    the least of 8, 16, 32 and 64 whose field holds the largest cap + 2
+    below its top (guard) bit.  `ones` holds 1 in every field and `guards`
+    every guard bit; `bias` holds `half - 1 - cap` in each field, `half`
+    being the guard bit's value, so a field of `m + bias` has its guard bit
+    set exactly when `m` holds more than the cap of its place.
     """
 
-    def __init__(self, rules: list[tuple[tuple, tuple]], caps: list[int]):
-        self.caps = caps
-        # (pre, post, fed) per consumed place, with `fed` the rules that
-        # consume from `post`: built sinks first, so that these exist already.
-        self._consumer = {}
-        for pre, post in rules:
-            built = (pre, post, self.feeds(post))
-            for p in pre:
-                self._consumer[p] = built
+    def __init__(self, places, bounds: ExplorationBounds):
+        tokens = min(bounds.max_tokens_per_edge, _MAX_CAP)
+        messages = min(bounds.max_messages_per_edge, _MAX_CAP)
+        self.caps = caps = [
+            messages if isinstance(name, MessageEdge) else tokens for name in places
+        ]
+        top = max(caps, default=0) + 2
+        size = 1
+        while top >= 1 << 8 * size - 1:
+            size *= 2
+        self.size = size
+        self.width = width = 8 * size
+        self.ones = ones = self.pack([1] * len(caps))
+        self.guards = ones << width - 1
+        self.bias = ((1 << width - 1) - 1) * ones - self.pack(caps)
+
+    def pack(self, counts: Sequence[int]) -> int:
+        """The packed marking holding `counts[p]` tokens in each place p."""
+        if self.size == 1:
+            return int.from_bytes(bytes(counts), "little")
+        width = self.width
+        return sum([n << width * p for p, n in enumerate(counts)])
+
+    def unpack(self, markings: list[int]) -> tuple[tuple[int, ...], ...]:
+        """The token counts of each packed marking, indexed like the places."""
+        n = len(self.caps)
+        if self.size == 1:
+            return tuple([tuple(m.to_bytes(n, "little")) for m in markings])
+        width = self.width
+        mask = (1 << width) - 1
+        shifts = range(0, width * n, width)
+        return tuple([tuple([m >> s & mask for s in shifts]) for m in markings])
+
+    def masks(self, rules: tuple[Rule, ...]) -> list[tuple[int, int, int]]:
+        """`(gpre, delta, gpost)` for each rule: the guard bits of its
+        pre-places, the change a firing makes, and the guard bits of its
+        post-places."""
+        width = self.width
+        unit = [1 << shift for shift in range(0, width * len(self.caps), width)]
+        masks = []
+        for rule in rules:
+            opre = opost = 0
+            for p in rule.pre:
+                opre += unit[p]
+            for p in rule.post:
+                opost += unit[p]
+            masks.append((opre << width - 1, opost - opre, opost << width - 1))
+        return masks
+
+    def overflow(self, m: int, post) -> _Overflow:
+        """The first place of `post` holding more than its cap in `m`."""
+        width = self.width
+        mask = (1 << width) - 1
+        counts = [(p, m >> width * p & mask) for p in post]
+        return next(_Overflow(p, n) for p, n in counts if n > self.caps[p])
+
+
+class _Confluence:
+    """Takes packed markings to their representatives (see `generate_lts`).
+
+    `rules` holds each confluent rule with its masks (see `_Packing.masks`),
+    sinks first (see `_confluent_sinks_first`).  A place has at most one
+    confluent consumer, so `feeds(post)` names the rules a firing into
+    `post` can enable, and `settle` re-tests only those.  Every marking
+    passed through is checked against the caps of `packing`.
+    """
+
+    def __init__(self, rules: list[tuple[Rule, tuple[int, int, int]]], packing: _Packing):
+        self.packing = packing
+        # (gpre, delta, gpost, post, fed) per consumed place, with `fed` the
+        # rules that consume from `post`: built sinks first, so that these
+        # exist already.
+        self._consumer = consumer = {}
+        for rule, masks in rules:
+            built = masks + (rule.post, self.feeds(rule.post))
+            for p in rule.pre:
+                consumer[p] = built
 
     def feeds(self, post) -> tuple:
         """The confluent rules that consume from `post`."""
-        return tuple([self._consumer[p] for p in post if p in self._consumer])
+        consumer = self._consumer
+        fed = []
+        for p in post:
+            if p in consumer:
+                fed.append(consumer[p])
+        return tuple(fed)
 
-    def settle(self, m: list, fed: tuple) -> tuple:
-        """The representative of marking `m` (a list, changed in place).
+    def settle(self, m: int, fed: tuple) -> int:
+        """The representative of packed marking `m`.
 
         Of the confluent rules, only those in `fed` may be enabled in `m`.
         """
-        caps = self.caps
+        packing = self.packing
+        guards, ones, bias = packing.guards, packing.ones, packing.bias
         todo = list(fed)
         while todo:
-            pre, post, more = todo.pop()
-            while True:  # fire the rule as long as it is enabled
-                for p in pre:
-                    if not m[p]:
-                        break
-                else:
-                    for p in pre:
-                        m[p] -= 1
-                    for p in post:
-                        m[p] += 1
-                    for p in post:
-                        if m[p] > caps[p]:
-                            raise _Overflow(p, m[p])
-                    todo += more
-                    continue
-                break
-        return tuple(m)
+            gpre, delta, gpost, post, more = todo.pop()
+            while ((m | guards) - ones) & gpre == gpre:  # fire while enabled
+                m += delta
+                if (m + bias) & gpost:
+                    raise packing.overflow(m, post)
+                todo += more
+        return m
 
 
 def generate_lts(
@@ -370,10 +458,26 @@ def generate_lts(
 
     Exploration is breadth-first with canonical step ordering, so two runs on
     the same model and bounds produce identical state numbering and
-    transition lists.  Only the places a rule produces into can grow, so the
-    token and message bounds are checked on those alone.  The labels in
-    `hidden` are explored as τ (see `compile_net`), so the result equals
+    transition lists.  The labels in `hidden` are explored as τ (see
+    `compile_net`), so the result equals
     `hide(generate_lts(model, bounds, reduce=reduce), hidden)`.
+
+    While exploring, a marking is one `int` (SWAR, Lamport 1975; a
+    fixed-width state vector as in LTSmin): place p is a field of 8, 16, 32
+    or 64 bits at offset `width * p`, the least width whose field holds the
+    largest cap + 2 below its top (guard) bit; a cap above 2**62 counts as
+    2**62, which no run reaches.  With `G` the guard bits and `ONES` a 1 in
+    every field, `nz = ((m | G) - ONES) & G` has the guard bit of exactly
+    the nonempty places, so a rule is enabled when `nz & gpre == gpre`,
+    `gpre` being the guard bits of its pre-places; the breadth-first loop
+    computes the guard bits of the empty places, `nz ^ G`, once per state
+    and tests each rule with one `&`.  Firing a rule is `m + delta`.  Only
+    the places a rule produces into can grow, so the token and message
+    bounds are checked on those alone: `(nxt + BIAS) & gpost`, with `BIAS`
+    holding `half - 1 - cap` in each field (`half` the guard bit's value),
+    is nonzero exactly when one of them passed its cap, and only then is
+    the marking decoded to name the place.  `Lts.states` holds the markings
+    decoded once, at the end, into tuples of token counts (see `Net`).
 
     With `reduce`, exploration visits representatives only (Groote & van de
     Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
@@ -390,24 +494,24 @@ def generate_lts(
     exploration (see `BoundExceeded`).
     """
     net = compile_net(model, hidden)
-    caps = [
-        bounds.max_messages_per_edge if isinstance(name, MessageEdge)
-        else bounds.max_tokens_per_edge
-        for name in net.places
-    ]
-    labels = sorted({rule.label for rule in net.rules}, key=label_key)
+    packing = _Packing(net.places, bounds)
+    # Labels are ranked by object first: hashing a label calls Python code.
+    by_id = {id(rule.label): rule.label for rule in net.rules}
+    labels = sorted(set(by_id.values()), key=label_key)
     rank = {label: r for r, label in enumerate(labels)}
-    rules = [(rule.pre, rule.post, rank[rule.label], ()) for rule in net.rules]
-    settle = None
-    if reduce:
-        order = _confluent_sinks_first(net)
-        confluence = _Confluence([rules[i][:2] for i in order], caps)
-        chosen = set(order)
-        settle = confluence.settle
-        rules = [
-            (pre, post, r, confluence.feeds(post))
-            for i, (pre, post, r, _) in enumerate(rules) if i not in chosen
-        ]
+    rank_of_id = {i: rank[label] for i, label in by_id.items()}
+    masks = packing.masks(net.rules)
+    order = _confluent_sinks_first(net) if reduce else []
+    confluence = _Confluence([(net.rules[i], masks[i]) for i in order], packing)
+    chosen = set(order)
+    rules = []  # (gpre, rest): a disabled rule unpacks its mask alone
+    for i, (_, _, post, label) in enumerate(net.rules):
+        if i not in chosen:
+            gpre, delta, gpost = masks[i]
+            rest = (delta, gpost, post, rank_of_id[id(label)], confluence.feeds(post))
+            rules.append((gpre, rest))
+    settle = confluence.settle
+    guards, ones, bias = packing.guards, packing.ones, packing.bias
     max_states = bounds.max_states
 
     states = []
@@ -415,29 +519,20 @@ def generate_lts(
     transitions = []
     src = -1  # nothing expanded until the initial state exists
     try:
-        initial = net.initial
-        if settle:
-            initial = settle(list(initial), confluence.feeds(range(len(caps))))
+        initial = settle(packing.pack(net.initial), confluence.feeds(range(len(net.places))))
         states.append(initial)
         index[initial] = 0
-        src = 0
-        while src < len(states):
-            marking = states[src]
+        for src, marking in enumerate(states):  # `states` grows as it goes
+            empty = ((marking | guards) - ones) & guards ^ guards
             steps = []
-            for pre, post, r, fed in rules:
-                for p in pre:
-                    if not marking[p]:
-                        break
-                else:
-                    nxt = list(marking)
-                    for p in pre:
-                        nxt[p] -= 1
-                    for p in post:
-                        nxt[p] += 1
-                    for p in post:
-                        if nxt[p] > caps[p]:
-                            raise _Overflow(p, nxt[p])
-                    nxt = settle(nxt, fed) if settle else tuple(nxt)
+            for gpre, rule in rules:
+                if not empty & gpre:
+                    delta, gpost, post, r, fed = rule
+                    nxt = marking + delta
+                    if (nxt + bias) & gpost:
+                        raise packing.overflow(nxt, post)
+                    if fed:
+                        nxt = settle(nxt, fed)
                     tgt = index.get(nxt)
                     if tgt is None:
                         tgt = len(states)
@@ -449,12 +544,15 @@ def generate_lts(
                         index[nxt] = tgt
                         states.append(nxt)
                     steps.append((r, tgt))
-            for r, tgt in sorted(set(steps)):
-                transitions.append((src, labels[r], tgt))
-            src += 1
+            steps.sort()
+            last = None
+            for step in steps:  # sorted, so a repeated step follows its twin
+                if step != last:
+                    last = step
+                    transitions.append((src, labels[step[0]], step[1]))
     except _Overflow as err:
         raise _overflow(net.places[err.place], err.count, len(states), src) from None
-    return Lts(len(states), 0, tuple(transitions), tuple(states))
+    return Lts(len(states), 0, tuple(transitions), packing.unpack(states))
 
 
 def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:

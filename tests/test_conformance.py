@@ -7,6 +7,7 @@ from chorcheck import (
     AutSyntaxError,
     Comm,
     DistinguishingTrace,
+    InputError,
     Lts,
     NonSimulablePair,
     check_bbc,
@@ -443,3 +444,18 @@ def test_internal_choice_mismatch_is_witnessed_by_a_deadlock(
     assert ce.side == "choreography"
     stuck = saturate(hide(coll, hidden))
     assert stuck.enabled(ce.collab_state) == frozenset()
+
+
+def test_export_names_the_first_bad_label_in_transition_order():
+    """State 0's bad label comes first in transition order, though state 1's
+    sorts first among the labels."""
+    lts = Lts.make(3, 0, [
+        (1, Comm("a", "b", 'late"'), 2),
+        (0, Comm("a", "b", "ok"), 1),
+        (0, Comm("x", "y", 'early"'), 2),
+    ])
+    assert [str(label) for _, label, _ in lts.transitions] == [
+        "a->b:ok", 'x->y:early"', 'a->b:late"',
+    ]
+    with pytest.raises(InputError, match="label part 'early\"'"):
+        export_aut(lts)
