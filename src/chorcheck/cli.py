@@ -23,6 +23,7 @@ import sys
 
 from .composition import CompositionError, compose, well_composed
 from .conformance import (
+    ConformanceResult,
     DistinguishingTrace,
     NonSimulablePair,
     check_bbc,
@@ -245,13 +246,18 @@ def cmd_check(args) -> int:
     else:
         collab = generate_lts(collab, bounds, reduce=True, hidden=hidden)
 
-    # Both relations are decided on one weak system over the two LTSs.
+    # Both relations are decided on one weak system over the two LTSs; on
+    # τ-free LTSs it is their strong steps.  BBC is decided first, since
+    # weak bisimilarity implies weak trace equivalence: when it holds, TBC
+    # holds without a search.  The TBC line still comes first.
     weak = saturate_pair(choreo, collab)
+    bbc = check_bbc(weak) if args.relation in ("bbc", "both") else None
     results = []
     if args.relation in ("tbc", "both"):
-        results.append(check_tbc(weak))
-    if args.relation in ("bbc", "both"):
-        results.append(check_bbc(weak))
+        holds = bbc is not None and bbc.verdict
+        results.append(ConformanceResult("tbc", True) if holds else check_tbc(weak))
+    if bbc is not None:
+        results.append(bbc)
     for result in results:
         _print_verdict(result, args.report)
     return 0 if all(r.verdict for r in results) else 4

@@ -18,7 +18,13 @@ Both decide on one weak system over the disjoint union of the two LTSs
 the silent graph condensed into strongly connected components, closures as
 int bitsets, and each visible transition with the closure of its target.
 Weak successor sets are never built in full; both checkers form unions of
-these bitsets as they go.
+these bitsets as they go.  When the union has no silent transition, as for
+most representatives `check` explores, no silent graph is built: weak
+steps are the strong steps, and refinement keys each state by the sparse
+set of (label, block) pairs of its strong steps instead of a bitmask.
+
+Weak bisimilarity implies weak trace equivalence, so a caller deciding both
+can decide BBC first and, when it holds, skip the TBC search.
 
 Extra collaboration labels are expected to be hidden (relabelled to tau) by
 the caller before or via the `hidden` argument, so the checkers also work on
@@ -27,12 +33,13 @@ transition systems read back from `.aut` files.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .model import TAU, Comm, InputError, Label, Value, label_key
+from .model import TAU, Comm, InputError, Label, Tau, Value, label_key
 from .semantics import Lts, _sccs, hide
 
 
@@ -60,35 +67,73 @@ class WeakLts:
     `_below[c]` the other components c has a silent transition into.
     `_cl[s]` is the closure of s.  `_strong[l]` maps each state x with an
     outgoing l-transition to its l-targets, `_src[l]` is the bitset of those
-    states, and `_step[l][x]` the closure of x's l-targets.
+    states, and `_step[l][x]` the closure of x's l-targets; these two are
+    built on first use, as a holding bisimulation check needs neither.
+
+    A system without silent transitions, as are most that `check` explores,
+    builds no silent graph: `_comp` is None, the closure of s is `1 << s`,
+    made on demand, and weak steps are strong steps, which refinement reads
+    from `_moves`.
     """
 
     def __init__(self, lts: Lts):
         self.lts = lts
         n = lts.n_states
-        tau_adj: list[list[int]] = [[] for _ in range(n)]
+        silent: list[tuple[int, int]] = []
         strong: dict[Comm, dict[int, list[int]]] = {}
         for src, label, tgt in lts.transitions:
-            if label == TAU:
-                tau_adj[src].append(tgt)
+            if isinstance(label, Tau):
+                silent.append((src, tgt))
             else:
                 strong.setdefault(label, {}).setdefault(src, []).append(tgt)
+        self.alphabet = frozenset(strong)
+        self._strong = strong
+        if not silent:
+            self._comp = None
+            self._cl = _Singletons()
+            return
+        tau_adj: list[list[int]] = [[] for _ in range(n)]
+        for src, tgt in silent:
+            tau_adj[src].append(tgt)
         self._comp, n_comp = _sccs(tau_adj)
         below: list[set[int]] = [set() for _ in range(n_comp)]
         for s, targets in enumerate(tau_adj):
             below[self._comp[s]].update(self._comp[t] for t in targets)
         self._below = [b - {c} for c, b in enumerate(below)]
         self._cl = self._over_closure([1 << s for s in range(n)])
-        self.alphabet = frozenset(strong)
-        self._strong = strong
-        self._src = {l: sum(1 << x for x in adj) for l, adj in strong.items()}
-        self._step: dict[Comm, dict[int, int]] = {}
-        for label, adj in strong.items():
-            step = self._step[label] = {}
+
+    @functools.cached_property
+    def _src(self) -> dict[Comm, int]:
+        """The bitset of the states with an l-transition; built on first use."""
+        return {l: sum(1 << x for x in adj) for l, adj in self._strong.items()}
+
+    @functools.cached_property
+    def _step(self) -> dict[Comm, dict[int, int]]:
+        """The closures of each state's l-targets, built on first use."""
+        cl = self._cl
+        step: dict[Comm, dict[int, int]] = {}
+        for label, adj in self._strong.items():
+            step[label] = by_source = {}
             for x, targets in adj.items():
-                step[x] = 0
+                acc = 0
                 for y in targets:
-                    step[x] |= self._cl[y]
+                    acc |= cl[y]
+                by_source[x] = acc
+        return step
+
+    @functools.cached_property
+    def _moves(self) -> list[tuple[list[int], list[int]]]:
+        """Each state's strong steps as the list of their label numbers, one
+        per label in `_strong` order, and the list of their targets; built
+        on first use."""
+        n = self.n_states
+        labels: list[list[int]] = [[] for _ in range(n)]
+        targets: list[list[int]] = [[] for _ in range(n)]
+        for number, adj in enumerate(self._strong.values()):
+            for x, ys in adj.items():
+                labels[x] += [number] * len(ys)
+                targets[x] += ys
+        return list(zip(labels, targets))
 
     def _over_closure(self, seed: list[int]) -> list[int]:
         """For every state, the OR of `seed` over its silent closure.
@@ -131,13 +176,24 @@ class WeakLts:
             acc |= step[x]
         return acc
 
-    def _signatures(self, block: Sequence[int], shift: dict) -> list[int]:
+    def _signatures(self, block: Sequence[int], alphabet: Sequence[Comm]) -> Iterable:
         """Every state's signature for one round of partition refinement.
 
-        Bit b is set when the silent closure meets block b, and bit
-        `shift[l] + b` when a weak l-step reaches block b; `block` numbers
-        this system's states.
+        `block` numbers this system's states and `alphabet` holds its
+        labels.  With silent steps, a signature is one int: bit b is set
+        when the silent closure meets block b, and bit `(i + 1)·nb + b` when
+        a weak step by the i-th label reaches block b.  Without, the closure
+        is the state alone, and the signature is the frozenset of (label
+        number, block) pairs of its strong steps, yielded one at a time, so
+        a caller that keeps only distinct keys never holds them all.  Either
+        way two states of one block get equal signatures exactly when they
+        weakly reach the same blocks by the same labels.
         """
+        if self._comp is None:
+            at = block.__getitem__
+            return (frozenset(zip(labels, map(at, ys))) for labels, ys in self._moves)
+        nb = max(block) + 1
+        shift = {l: (i + 1) * nb for i, l in enumerate(alphabet)}
         reach = self._over_closure([1 << b for b in block])
         visible = [0] * len(block)
         for label, adj in self._strong.items():
@@ -150,6 +206,15 @@ class WeakLts:
         for s, r in enumerate(reach):
             visible[s] |= r
         return visible
+
+
+class _Singletons:
+    """The closures of a system without silent steps: s reaches only s."""
+
+    __slots__ = ()
+
+    def __getitem__(self, s: int) -> int:
+        return 1 << s
 
 
 def saturate(lts: Lts) -> WeakLts:
@@ -226,19 +291,17 @@ def _refine(w: WeakLts):
 
     Returns the history of block assignments, one tuple per round, coarsest
     first; the last entry is the stable partition (weak bisimilarity).  A
-    state's signature is the set of (silent or visible label, block) pairs it
-    weakly reaches, encoded as one int: silent pairs at bits [0, nb), the
-    i-th visible label at [(i + 1)·nb, (i + 2)·nb).
+    state's key is its block and its signature, the set of (silent or
+    visible label, block) pairs it weakly reaches (see
+    `WeakLts._signatures`), and new blocks are numbered by first occurrence.
     """
     alphabet = sorted(w.alphabet, key=label_key)
     block = [0] * w.n_states
     history = [tuple(block)]
     while True:
-        nb = max(block) + 1
-        shift = {l: (i + 1) * nb for i, l in enumerate(alphabet)}
-        sigs = w._signatures(block, shift)
         new_ids: dict[tuple, int] = {}
-        new = [new_ids.setdefault(key, len(new_ids)) for key in zip(block, sigs)]
+        keys = zip(block, w._signatures(block, alphabet))
+        new = [new_ids.setdefault(key, len(new_ids)) for key in keys]
         if new == block:
             return history
         block = new

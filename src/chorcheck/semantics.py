@@ -590,9 +590,9 @@ def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
         run = list(run)
         if any(label in hidden for _, label, _ in run):
             changed = True
-            taus = {tgt for _, label, tgt in run if label == TAU or label in hidden}
+            taus = {tgt for _, label, tgt in run if isinstance(label, Tau) or label in hidden}
             out += [(src, TAU, tgt) for tgt in sorted(taus)]
-            out += [t for t in run if t[1] != TAU and t[1] not in hidden]
+            out += [t for t in run if not isinstance(t[1], Tau) and t[1] not in hidden]
         else:
             out += run
     if not changed:

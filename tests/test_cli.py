@@ -1,5 +1,6 @@
 import gc
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from chorcheck import (
 from chorcheck.cli import main
 from chorcheck.conformance import InternalError
 from conftest import GOLDEN, fixture_path
+from generators import matched_tuple_pair, xor_tuple_pair
 
 
 def fx(name):
@@ -633,3 +635,27 @@ def test_repeated_checks_leave_no_memory_behind(capsys):
             tracemalloc.stop()
         gc.enable()
     assert growth < 40 * 1024, f"{growth} bytes more after 100 calls"
+
+
+def test_both_relations_print_the_single_relation_lines_in_order(tmp_path, capsys):
+    """`check` decides BBC first and, when it holds, answers TBC without a
+    search; the output must still be the `tbc` call's, then the `bbc`
+    call's, with the exit code of the worse.  One composition is the
+    choreography, as an `.aut`, and the other the collaboration."""
+    aut, text = tmp_path / "a.aut", tmp_path / "b.txt"
+    rng = random.Random(83)
+    verdicts = set()
+    for pair in [matched_tuple_pair] * 25 + [xor_tuple_pair] * 25:
+        first, second, names = pair(rng, max_pools=3)
+        a, b = compose(first, names), compose(second, names)
+        for x, y in ((a, b), (b, a)):
+            aut.write_bytes(export_aut(generate_lts(x)))
+            text.write_text(print_model(y))
+            argv = ["check", str(aut), str(text), "--report", "lines"]
+            tbc, bbc, both = (
+                in_process([*argv, "--relation", relation], capsys)
+                for relation in ("tbc", "bbc", "both")
+            )
+            assert both == (max(tbc[0], bbc[0]), tbc[1] + bbc[1], "")
+            verdicts.add(tuple([line.split()[1] for line in both[1].splitlines()]))
+    assert {("true", "true"), ("true", "false"), ("false", "false")} <= verdicts

@@ -26,7 +26,8 @@ from chorcheck import (
 )
 from chorcheck.conformance import InternalError, _bbc_witness, _refine, saturate_pair
 from conftest import fixture_text
-from generators import random_lts, tau_padded
+from generators import fanin, random_lts, tau_padded, xor_tuple_pair
+from test_conformance import renumbered
 
 A, B = Comm("A", "B", "m1"), Comm("A", "B", "m2")
 
@@ -153,6 +154,106 @@ def test_witness_refuses_a_bisimilar_pair():
     with pytest.raises(InternalError) as info:
         _bbc_witness(weak, history)
     assert not isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# τ-free pairs: refinement over strong steps with sparse signatures
+
+
+def random_tau_free_pairs(seed, count):
+    """Random τ-free systems, each against a random one, itself renumbered,
+    or itself."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = ("m1", "m2", "m3")[: rng.randint(1, 3)]
+        a = random_lts(rng, max_states=rng.randint(1, 7), alphabet=alphabet, tau_weight=0)
+        if i % 3 == 0:
+            b = random_lts(rng, max_states=7, alphabet=alphabet, tau_weight=0)
+        else:
+            b = renumbered(rng, a) if i % 3 == 1 else a
+        yield a, b
+
+
+def reduced_fanin_pairs(max_k):
+    """Reduced fan-in, as `check` explores it: each choreography against its
+    collaboration (conforming) and against the next smaller one (not)."""
+    systems = []
+    for k in range(1, max_k + 1):
+        ch, co = fanin(k)
+        systems.append((
+            generate_lts(ch, reduce=True),
+            generate_lts(co, reduce=True, hidden=hiding_set(ch, co)),
+        ))
+    for k, (chl, coll) in enumerate(systems):
+        yield chl, coll
+        yield coll, chl
+        if k:
+            yield chl, systems[k - 1][1]
+
+
+def tau_free_xor_pairs(seed, count):
+    """Reduced compositions of XOR-heavy process tuples, both ways round,
+    where neither side keeps a τ-step."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        first, second, names = xor_tuple_pair(rng, max_pools=3)
+        a, b = compose(first, names), compose(second, names)
+        for x, y in ((a, b), (b, a)):
+            lx = generate_lts(x, reduce=True)
+            ly = generate_lts(y, reduce=True, hidden=hiding_set(x, y))
+            if not any(label == TAU for lts in (lx, ly) for _, label, _ in lts.transitions):
+                yield lx, ly
+
+
+def assert_tau_free_results_equal_the_reference(a, b) -> bool:
+    """Refinement history, BBC witness and TBC trace of a τ-free pair are
+    exactly those of the reference; returns the BBC verdict."""
+    weak = saturate_pair(a, b)
+    assert weak._comp is None  # the strong path
+    assert _refine(weak) == oracle_weak._refine(oracle_weak.saturate(a), oracle_weak.saturate(b))
+    bbc = check_bbc(weak)
+    assert bbc == oracle_weak.check_bbc(a, b)
+    assert check_tbc(weak) == oracle_weak.check_tbc(a, b)
+    return bbc.verdict
+
+
+def test_tau_free_random_pairs_refine_like_the_reference():
+    verdicts = [
+        assert_tau_free_results_equal_the_reference(a, b)
+        for a, b in random_tau_free_pairs(505, 600)
+    ]
+    assert 100 <= verdicts.count(False) <= 500
+
+
+def test_tau_free_reduced_fanin_refines_like_the_reference():
+    verdicts = [
+        assert_tau_free_results_equal_the_reference(a, b) for a, b in reduced_fanin_pairs(6)
+    ]
+    assert verdicts.count(True) == 12 and verdicts.count(False) == 5
+
+
+def test_tau_free_xor_pairs_refine_like_the_reference():
+    """An XOR split is an internal choice, which stays a τ-step, so the
+    τ-free pairs of this family are those without a reachable choice."""
+    pairs = list(tau_free_xor_pairs(61, 400))
+    for a, b in pairs:
+        assert_tau_free_results_equal_the_reference(a, b)
+    assert len(pairs) >= 20
+
+
+def test_tau_padding_either_side_keeps_the_verdicts():
+    """Padding one side of a τ-free pair moves its check from the strong
+    path to the weak one; verdicts must not move."""
+    rng = random.Random(707)
+    pairs = list(random_tau_free_pairs(708, 300)) + list(reduced_fanin_pairs(4))
+    crossed = 0
+    for a, b in pairs:
+        expected = [check(a, b).verdict for check in (check_tbc, check_bbc)]
+        for x, y in ((a, tau_padded(rng, b)), (tau_padded(rng, a), b)):
+            weak = saturate_pair(x, y)
+            crossed += weak._comp is not None
+            assert [check_tbc(weak).verdict, check_bbc(weak).verdict] == expected
+    assert crossed >= len(pairs)
 
 
 # ---------------------------------------------------------------------------
