@@ -55,6 +55,15 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _bitset(members: Iterable[int], n: int) -> int:
+    """The bitset of `members`, each below `n`, built in linear time: a sum
+    of `1 << x` copies an ever longer int at every step."""
+    bits = bytearray((n + 7) // 8)
+    for x in members:
+        bits[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(bits, "little")
+
+
 class WeakLts:
     """An LTS enriched with its silent closure and weak visible steps.
 
@@ -105,7 +114,7 @@ class WeakLts:
     @functools.cached_property
     def _src(self) -> dict[Comm, int]:
         """The bitset of the states with an l-transition; built on first use."""
-        return {l: sum(1 << x for x in adj) for l, adj in self._strong.items()}
+        return {l: _bitset(adj, self.n_states) for l, adj in self._strong.items()}
 
     @functools.cached_property
     def _step(self) -> dict[Comm, dict[int, int]]:
@@ -467,7 +476,8 @@ def export_aut(lts: Lts) -> bytes:
     labels = {id(label): label for _, label, _ in lts.transitions}
     middle = {i: f', "{_render_label(label)}", ' for i, label in labels.items()}
     lines = [f"des ({lts.initial}, {len(lts.transitions)}, {lts.n_states})"]
-    lines += [f"({src}{middle[id(label)]}{tgt})" for src, label, tgt in lts.transitions]
+    nums = [str(s) for s in range(lts.n_states)]
+    lines += [f"({nums[src]}{middle[id(label)]}{nums[tgt]})" for src, label, tgt in lts.transitions]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -99,13 +99,15 @@ class Lts(Value, uncompared=("states",)):
     Transitions are sorted by (source, label, target) and duplicate-free;
     state 0 is always the initial state for generated systems.  `states`
     optionally carries the marking behind each state index (see `Net`) and
-    is left out of equality, hash and repr.
+    is left out of equality, hash and repr.  A generated system's `states`
+    is a `_Markings`: it reads as a tuple of token-count tuples, but keeps the
+    markings packed until its first read.
     """
 
     n_states: int
     initial: int
     transitions: tuple[tuple[int, Label, int], ...]
-    states: Optional[tuple] = None
+    states: Optional[Sequence] = None
 
     @staticmethod
     def make(n_states, initial, transitions, states=None) -> "Lts":
@@ -399,6 +401,45 @@ class _Packing:
         return next(_Overflow(p, n) for p, n in counts if n > self.caps[p])
 
 
+class _Markings:
+    """The markings of a generated `Lts`, packed as `generate_lts` explored
+    them and decoded by `packing` into token-count tuples on first read.
+
+    It reads as that tuple of tuples: indexing, iteration, `index`, `==`
+    with a tuple either way round and `repr`; `len` decodes nothing.
+    """
+
+    __slots__ = ("_packed", "_packing", "_decoded")
+
+    def __init__(self, packed: list[int], packing: _Packing):
+        self._packed = packed
+        self._packing = packing
+        self._decoded = None
+
+    def decoded(self) -> tuple[tuple[int, ...], ...]:
+        if self._decoded is None:
+            self._decoded = self._packing.unpack(self._packed)
+        return self._decoded
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __getitem__(self, i):
+        return self.decoded()[i]
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def index(self, *args):
+        return self.decoded().index(*args)
+
+    def __eq__(self, other):
+        return self.decoded() == other
+
+    def __repr__(self):
+        return repr(self.decoded())
+
+
 class _Confluence:
     """Takes packed markings to their representatives (see `generate_lts`).
 
@@ -476,8 +517,9 @@ def generate_lts(
     bounds are checked on those alone: `(nxt + BIAS) & gpost`, with `BIAS`
     holding `half - 1 - cap` in each field (`half` the guard bit's value),
     is nonzero exactly when one of them passed its cap, and only then is
-    the marking decoded to name the place.  `Lts.states` holds the markings
-    decoded once, at the end, into tuples of token counts (see `Net`).
+    the marking decoded to name the place.  `Lts.states` keeps the markings
+    packed and decodes them all into tuples of token counts (see `Net`) on
+    its first read (see `_Markings`).
 
     With `reduce`, exploration visits representatives only (Groote & van de
     Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
@@ -552,7 +594,7 @@ def generate_lts(
                     transitions.append((src, labels[step[0]], step[1]))
     except _Overflow as err:
         raise _overflow(net.places[err.place], err.count, len(states), src) from None
-    return Lts(len(states), 0, tuple(transitions), packing.unpack(states))
+    return Lts(len(states), 0, tuple(transitions), _Markings(states, packing))
 
 
 def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import chorcheck
+import oracle_explore
 from chorcheck import (
     TAU,
     AndJoin,
@@ -30,6 +31,7 @@ from chorcheck import (
 )
 from chorcheck.cli import main
 from chorcheck.conformance import InternalError
+from chorcheck.semantics import _Packing
 from conftest import GOLDEN, fixture_path
 from generators import matched_tuple_pair, xor_tuple_pair
 
@@ -566,6 +568,43 @@ def test_patched_module_names_take_effect_after_the_parser_exists(monkeypatch, c
     monkeypatch.setattr(cli, "generate_lts", counting)
     assert main(argv) == 0
     assert seen == [{"reduce": True}, {"reduce": True, "hidden": frozenset()}]
+
+
+def test_no_command_decodes_the_explored_markings(monkeypatch, tmp_path, capsys):
+    """No command reads `Lts.states`, so none decodes a marking: with the
+    decoder refusing, each call answers as before.  The markings read
+    afterwards are those of the eager decode."""
+    aut = tmp_path / "booking.aut"
+    calls = [
+        ["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt"),
+         "--relation", "both", "--report", "lines"],
+        ["check", fx("drink_shopping_choreography.txt"), fx("drink_shopping_collaboration.txt")],
+        ["check", fx("booking_choreography.txt"), fx("booking_collaboration.txt")],
+        ["lts", fx("booking_collaboration.txt"), "-o", str(aut)],
+    ]
+    expected = [in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in expected] == [0, 4, 4, 0]
+    assert "only the choreography can perform" in expected[1][1]
+    assert "c->bs:login · c->bs:request · bs->c:reply · c->bk:pay" in expected[2][1]
+    aut.unlink()
+    explored = []
+
+    def recording(model, bounds, **kwargs):
+        lts = generate_lts(model, bounds, **kwargs)
+        explored.append((model, bounds, kwargs, lts))
+        return lts
+
+    def refuse(self, markings):
+        raise AssertionError("explored markings decoded")
+
+    monkeypatch.setattr(cli, "generate_lts", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Packing, "unpack", refuse)
+        assert [in_process(argv, capsys) for argv in calls] == expected
+    assert aut.read_bytes() == (GOLDEN / "booking_collaboration.aut").read_bytes()
+    assert len(explored) == 7
+    for model, bounds, kwargs, lts in explored:
+        assert lts.states == oracle_explore.generate_lts(model, bounds, **kwargs).states
 
 
 # The paper's case studies, as `check` calls (those of `test_acceptance.py`).

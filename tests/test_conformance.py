@@ -22,6 +22,7 @@ from chorcheck import (
     parse_collaboration,
     saturate,
 )
+import oracle_aut
 import oracle_weak
 from conftest import GOLDEN, fixture_text
 from generators import random_lts, tau_padded
@@ -323,6 +324,28 @@ def test_export_booking_matches_golden(booking_choreography, booking_collaborati
         export_aut(generate_lts(booking_collaboration))
         == (GOLDEN / "booking_collaboration.aut").read_bytes()
     )
+
+
+def test_export_renders_like_the_reference():
+    """Random systems, systems read back from `.aut` with another initial
+    state and states without transitions, every golden file and the
+    fixture systems whose export is golden."""
+    rng = random.Random(61)
+    systems = [random_lts(rng, max_states=n) for n in (1, 9, 40, 200) for _ in range(20)]
+    for lts in systems[:40]:
+        n = lts.n_states + rng.randint(0, 12)
+        lines = [f"des ({rng.randrange(n)}, {len(lts.transitions)}, {n})"]
+        lines += [f'({n - 1 - s}, "{label}", {n - 1 - t})' for s, label, t in lts.transitions]
+        systems.append(parse_aut("\n".join(lines) + "\n"))
+    systems += [parse_aut(path.read_bytes()) for path in sorted(GOLDEN.glob("*.aut"))]
+    systems += [
+        generate_lts(parse_choreography(fixture_text("booking_choreography.txt"))),
+        generate_lts(parse_collaboration(fixture_text("booking_collaboration.txt"))),
+        generate_lts(parse_choreography("start(e1) | end(e1, e2)")),
+    ]
+    assert any(lts.initial and lts.n_states > 10 for lts in systems)
+    for lts in systems:
+        assert export_aut(lts) == oracle_aut.export_aut(lts)
 
 
 def test_parse_two_state_file():

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import oracle_explore
 import oracle_semantics as oracle
 from chorcheck import (
     BoundExceeded,
@@ -33,7 +34,7 @@ from chorcheck import (
     parse_collaboration,
     parse_process,
 )
-from chorcheck.semantics import DEFAULT_BOUNDS, compile_net
+from chorcheck.semantics import DEFAULT_BOUNDS, _Packing, compile_net
 from conftest import FIXTURES, fixture_text
 from generators import fanin, matched_process_tuple, random_lts
 
@@ -201,6 +202,26 @@ def test_hide_equals_the_oracle_on_generated_systems():
         got = hide(lts, hidden)
         assert got == oracle.hide(lts, hidden)
         assert got.states is lts.states
+
+
+def test_generated_markings_read_as_their_tuple_and_decode_once(monkeypatch):
+    """`Lts.states` of a generated system stays packed through `len`, and
+    its first read decodes it, once, into the tuple the eager decode gives."""
+    _, collab = fanin(2)
+    lts = generate_lts(collab)
+    eager = oracle_explore.generate_lts(collab).states
+    calls = []
+    unpack = _Packing.unpack
+    monkeypatch.setattr(_Packing, "unpack", lambda self, m: calls.append(m) or unpack(self, m))
+    states = lts.states
+    assert len(states) == lts.n_states == len(eager) > 3 and not calls
+    assert states == eager and eager == states and not states != eager
+    assert states != list(eager) and states != eager[1:]
+    assert (states[0], states[-1], states[1:3]) == (eager[0], eager[-1], eager[1:3])
+    assert tuple(states) == eager and states.index(eager[3]) == 3 and eager[3] in states
+    assert repr(states) == repr(eager)
+    assert len(calls) == 1
+    assert hide(lts, labels_collab(collab)).states is states
 
 
 def test_hide_returns_the_system_when_nothing_is_hidden():

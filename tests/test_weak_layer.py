@@ -24,7 +24,7 @@ from chorcheck import (
     parse_process,
     saturate,
 )
-from chorcheck.conformance import InternalError, _bbc_witness, _refine, saturate_pair
+from chorcheck.conformance import InternalError, _bbc_witness, _bitset, _refine, saturate_pair
 from conftest import fixture_text
 from generators import fanin, random_lts, tau_padded, xor_tuple_pair
 from test_conformance import renumbered
@@ -111,6 +111,20 @@ def test_weak_sets_equal_the_reference_on_random_systems():
     for a, b, hidden in random_pairs(303, 400):
         assert_same_weak_sets(a)
         assert_same_weak_sets(hide(b, hidden))
+
+
+def test_source_bitsets_equal_the_sum_of_their_bits():
+    """`_bitset` is `sum(1 << x ...)` in linear time: on sets with and
+    without state 0, the empty set, and sizes off a multiple of 8."""
+    rng = random.Random(59)
+    for n in (1, 7, 8, 9, 15, 17, 64, 65, 1001):
+        sets = [[], [0], [n - 1], range(n)]
+        sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(10)]
+        for members in sets:
+            assert _bitset(members, n) == sum(1 << x for x in members)
+    for _ in range(100):
+        w = saturate(random_lts(rng, max_states=40))
+        assert w._src == {l: sum(1 << x for x in adj) for l, adj in w._strong.items()}
 
 
 def test_results_and_weak_sets_equal_the_reference_on_fixtures():
