@@ -73,16 +73,22 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_model(path: str, fmt: str, kind: str):
+def _load_model(path: str, fmt: str, kind: str, bounds: ExplorationBounds):
     """Load one input, read once: a model, or an `Lts` for an .aut file.
 
     `kind` "auto" infers a model's kind from the file.  A text file holding
     a single process is refused as a choreography, since a process has no
-    behaviour of its own until it is composed with its partners.
+    behaviour of its own until it is composed with its partners.  An .aut
+    declaring more states than `bounds` allows is refused before anything
+    is kept per state.
     """
     fmt = _detect_format(path, fmt)
     if fmt == "aut":
-        return parse_aut(_read(path))
+        lts = parse_aut(_read(path))
+        if lts.n_states > bounds.max_states:
+            detail = f"{path} declares {lts.n_states} states, more than {bounds.max_states}"
+            raise BoundExceeded("states", detail, 0, 0)
+        return lts
     if fmt == "bpmn":
         with open(path, "rb") as fh:
             data = fh.read()
@@ -179,9 +185,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_lts(args) -> int:
-    lts = _load_model(args.model, args.format, args.kind)
+    bounds = _bounds(args)
+    lts = _load_model(args.model, args.format, args.kind, bounds)
     if not isinstance(lts, Lts):
-        lts = generate_lts(lts, _bounds(args))
+        lts = generate_lts(lts, bounds)
     data = export_aut(lts)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -220,14 +227,15 @@ def _print_verdict(result, report: str):
 
 
 def cmd_check(args) -> int:
-    choreo = _load_model(args.choreography, args.format, "choreography")
+    bounds = _bounds(args)
+    choreo = _load_model(args.choreography, args.format, "choreography", bounds)
     if args.processes:
         if args.collaboration:
             raise InputError("give either a collaboration file or --processes")
         files = [p.strip() for p in args.processes.split(",") if p.strip()]
         collab = _compose_files(files, args.names or "")
     elif args.collaboration:
-        collab = _load_model(args.collaboration, args.format, "collaboration")
+        collab = _load_model(args.collaboration, args.format, "collaboration", bounds)
     else:
         raise InputError("a collaboration file or --processes is required")
 
@@ -237,7 +245,6 @@ def cmd_check(args) -> int:
     # silent steps, which is branching bisimilar to full exploration, so
     # verdicts and TBC counterexamples stay the same; the BBC witness is
     # picked by state number, so on rare models another valid one comes out.
-    bounds = _bounds(args)
     hidden = hiding_set(choreo, collab)
     if not isinstance(choreo, Lts):
         choreo = generate_lts(choreo, bounds, reduce=True)

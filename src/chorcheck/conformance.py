@@ -16,12 +16,13 @@ Two relations are decided, both insensitive to silent moves:
 Both decide on one weak system over the disjoint union of the two LTSs
 (`WeakPair`, built by `saturate_pair` and shareable between the checkers):
 the silent graph condensed into strongly connected components, closures as
-int bitsets, and each visible transition with the closure of its target.
-Weak successor sets are never built in full; both checkers form unions of
-these bitsets as they go.  When the union has no silent transition, as for
-most representatives `check` explores, no silent graph is built: weak
-steps are the strong steps, and refinement keys each state by the sparse
-set of (label, block) pairs of its strong steps instead of a bitmask.
+int bitsets, and the strong visible transitions.  No weak step is stored: one
+is formed when it is taken, as the union of the closures of its strong
+targets, and both checkers form unions of these bitsets as they go.  When
+the union has no silent transition, as for most representatives `check`
+explores, no silent graph is built: weak steps are the strong steps, and
+refinement keys each state by the sparse set of (label, block) pairs of its
+strong steps instead of a bitmask.
 
 Weak bisimilarity implies weak trace equivalence, so a caller deciding both
 can decide BBC first and, when it holds, skip the TBC search.
@@ -75,9 +76,10 @@ class WeakLts:
     `_comp[s]` is the silent strongly connected component of s, and
     `_below[c]` the other components c has a silent transition into.
     `_cl[s]` is the closure of s.  `_strong[l]` maps each state x with an
-    outgoing l-transition to its l-targets, `_src[l]` is the bitset of those
-    states, and `_step[l][x]` the closure of x's l-targets; these two are
-    built on first use, as a holding bisimulation check needs neither.
+    outgoing l-transition to its l-targets, and `_src[l]`, the bitset of
+    those states, is built on first use, as a holding bisimulation check
+    does not need it.  Weak steps are not stored but formed when taken
+    (`_post`), from `_strong` and `_cl`.
 
     A system without silent transitions, as are most that `check` explores,
     builds no silent graph: `_comp` is None, the closure of s is `1 << s`,
@@ -115,20 +117,6 @@ class WeakLts:
     def _src(self) -> dict[Comm, int]:
         """The bitset of the states with an l-transition; built on first use."""
         return {l: _bitset(adj, self.n_states) for l, adj in self._strong.items()}
-
-    @functools.cached_property
-    def _step(self) -> dict[Comm, dict[int, int]]:
-        """The closures of each state's l-targets, built on first use."""
-        cl = self._cl
-        step: dict[Comm, dict[int, int]] = {}
-        for label, adj in self._strong.items():
-            step[label] = by_source = {}
-            for x, targets in adj.items():
-                acc = 0
-                for y in targets:
-                    acc |= cl[y]
-                by_source[x] = acc
-        return step
 
     @functools.cached_property
     def _moves(self) -> list[tuple[list[int], list[int]]]:
@@ -178,11 +166,14 @@ class WeakLts:
         return frozenset(l for l, src in self._src.items() if cl & src)
 
     def _post(self, states: int, label: Comm) -> int:
-        """Weak `label` successors of a silently closed bitset of states."""
+        """Weak `label` successors of a silently closed bitset of states: the
+        closures of the members' strong `label` targets, ORed as they come."""
         acc = 0
-        step = self._step.get(label)
+        cl = self._cl
+        adj = self._strong.get(label)
         for x in _bits(states & self._src.get(label, 0)):
-            acc |= step[x]
+            for y in adj[x]:
+                acc |= cl[y]
         return acc
 
     def _signatures(self, block: Sequence[int], alphabet: Sequence[Comm]) -> Iterable:

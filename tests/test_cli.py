@@ -218,6 +218,39 @@ def test_check_bound_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+def test_an_aut_declaring_more_states_than_the_bound_exits_3(tmp_path, capsys):
+    """The header's state count is checked against `--max-states` before
+    anything is kept per state, so ten billion declared states is a bound
+    failure, not a `MemoryError`."""
+    huge = tmp_path / "huge.aut"
+    huge.write_text('des (0, 1, 10000000000)\n(0, "a->b:m", 1)\n')
+    message = (
+        f"error: states bound exceeded: {huge} declares 10000000000 states,"
+        " more than 100000 (0 states reached, 0 not yet expanded)\n"
+    )
+    for argv in (["check", str(huge), str(huge)], ["lts", str(huge)],
+                 ["check", fx("booking_choreography.txt"), str(huge)]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", message)
+
+
+def test_an_aut_within_a_raised_state_bound_is_read(tmp_path, capsys):
+    """booking_collaboration.aut declares 70 states: one fewer allowed is a
+    bound failure, exactly 70 passes, and so does a bound raised above the
+    default."""
+    golden = GOLDEN / "booking_collaboration.aut"
+    aut = str(golden)
+    assert main(["lts", aut, "--max-states", "69"]) == 3
+    assert "declares 70 states, more than 69" in capsys.readouterr().err
+    for bound in ("70", "1000000"):
+        assert main(["lts", aut, "--max-states", bound]) == 0
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+        code = main(["check", fx("booking_choreography.txt"), aut, "--max-states", bound,
+                     "--report", "lines"])
+        assert code == 4
+        assert capsys.readouterr().out.startswith("tbc false ")
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["check", fx("booking_choreography.txt")]) == 1
     assert main(["frobnicate"]) == 1

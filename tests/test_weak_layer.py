@@ -5,6 +5,7 @@ reference's, and so must every closure, weak successor set and enabled set.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,55 @@ def test_tau_padding_either_side_keeps_the_verdicts():
             crossed += weak._comp is not None
             assert [check_tbc(weak).verdict, check_bbc(weak).verdict] == expected
     assert crossed >= len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Weak steps formed when taken
+
+
+def unreduced_fanin_pairs(max_k):
+    """Fully explored fan-in, the collaboration hidden, as an `.aut` pair is
+    checked: each choreography against its own collaboration (conforming)
+    and against the next smaller one (not).  Most collaboration steps are
+    silent receives, so every TBC subset is a union of large closures."""
+    models = [fanin(k) for k in range(1, max_k + 1)]
+    for i, (ch, _) in enumerate(models):
+        for j in (i, i - 1) if i else (i,):
+            co = models[j][1]
+            yield generate_lts(ch), hide(generate_lts(co), hiding_set(ch, co)), j == i
+
+
+def test_unreduced_fanin_results_and_weak_sets_equal_the_reference():
+    taus = 0
+    for a, b, conforms in unreduced_fanin_pairs(3):
+        for x, y in ((a, b), (b, a)):
+            assert_same_results(x, y)
+            assert check_tbc(x, y).verdict == check_bbc(x, y).verdict == conforms
+        assert_same_weak_sets(b)
+        taus = max(taus, sum(label == TAU for _, label, _ in b.transitions))
+    assert taus == 888  # of the k=3 collaboration's 1 104 transitions
+
+
+def test_a_conforming_tbc_search_keeps_no_weak_step_per_transition():
+    """On reduced fan-in k=10, 1 024 states a side, the search holds only its
+    product states: a stored weak step per (label, state), one union-wide
+    int each, would take about 2.5 MiB."""
+    ch, co = fanin(10)
+    weak = saturate_pair(
+        generate_lts(ch, reduce=True),
+        generate_lts(co, reduce=True, hidden=hiding_set(ch, co)),
+    )
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert check_tbc(weak).verdict
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 2**20, f"{peak} bytes at the peak of the search"
 
 
 # ---------------------------------------------------------------------------
