@@ -84,11 +84,10 @@ def _load_model(path: str, fmt: str, kind: str, bounds: ExplorationBounds):
     """
     fmt = _detect_format(path, fmt)
     if fmt == "aut":
-        lts = parse_aut(_read(path))
-        if lts.n_states > bounds.max_states:
-            detail = f"{path} declares {lts.n_states} states, more than {bounds.max_states}"
-            raise BoundExceeded("states", detail, 0, 0)
-        return lts
+        try:
+            return parse_aut(_read(path), bounds)
+        except BoundExceeded as err:  # name the file that declares them
+            raise BoundExceeded(err.kind, f"{path} {err.detail}", 0, 0) from None
     if fmt == "bpmn":
         with open(path, "rb") as fh:
             data = fh.read()

@@ -16,13 +16,14 @@ Two relations are decided, both insensitive to silent moves:
 Both decide on one weak system over the disjoint union of the two LTSs
 (`WeakPair`, built by `saturate_pair` and shareable between the checkers):
 the silent graph condensed into strongly connected components, closures as
-int bitsets, and the strong visible transitions.  No weak step is stored: one
-is formed when it is taken, as the union of the closures of its strong
-targets, and both checkers form unions of these bitsets as they go.  When
-the union has no silent transition, as for most representatives `check`
-explores, no silent graph is built: weak steps are the strong steps, and
-refinement keys each state by the sparse set of (label, block) pairs of its
-strong steps instead of a bitmask.
+int bitsets, and the strong steps, read as each state's slice of the
+union's label-rank and target columns, so that no label is hashed per
+transition.  No weak step is stored: one is formed when it is taken, as the
+union of the closures of its strong targets, and both checkers form unions
+of these bitsets as they go.  When the union has no silent transition, as
+for most representatives `check` explores, no silent graph is built: weak
+steps are the strong steps, and refinement keys each state by the sparse
+set of (label rank, block) pairs of its strong steps instead of a bitmask.
 
 Weak bisimilarity implies weak trace equivalence, so a caller deciding both
 can decide BBC first and, when it holds, skip the TBC search.
@@ -37,11 +38,12 @@ from __future__ import annotations
 import functools
 import re
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .model import TAU, Comm, InputError, Label, Tau, Value, label_key
-from .semantics import Lts, _sccs, hide
+from .semantics import BoundExceeded, ExplorationBounds, Lts, _Columns, _sccs, hide
 
 
 # ---------------------------------------------------------------------------
@@ -72,65 +74,55 @@ class WeakLts:
     transitions.  `weak_succ(s, l)` is the set of states reachable by silent
     moves, one l-transition, then silent moves again.
 
-    Sets of states are stored as int bitsets and decoded on demand.
-    `_comp[s]` is the silent strongly connected component of s, and
-    `_below[c]` the other components c has a silent transition into.
-    `_cl[s]` is the closure of s.  `_strong[l]` maps each state x with an
-    outgoing l-transition to its l-targets, and `_src[l]`, the bitset of
-    those states, is built on first use, as a holding bisimulation check
-    does not need it.  Weak steps are not stored but formed when taken
-    (`_post`), from `_strong` and `_cl`.
+    It reads the LTS's columns (see `semantics._Columns`): a label is its
+    rank in `labels`, no label is hashed per transition, and the steps of a
+    state are its slice of the rank and target columns, τ-steps (rank 0)
+    first.  `_visible` holds the ranks of the visible labels, and
+    `_sources`, with silent steps only, the source of each step.  Sets of
+    states are int bitsets, decoded on demand.  `_comp[s]` is the silent
+    strongly connected component of s, and `_below[c]` the other components
+    c has a silent transition into.  `_cl[s]` is the closure of s.
+    `_src[r]`, the bitset of the states with an r-step, is built on first
+    use, as a holding bisimulation check does not need it.  Weak steps are
+    not stored but formed when taken (`_post`), from the slices and `_cl`.
 
     A system without silent transitions, as are most that `check` explores,
     builds no silent graph: `_comp` is None, the closure of s is `1 << s`,
     made on demand, and weak steps are strong steps, which refinement reads
-    from `_moves`.
+    from the slices.
     """
 
     def __init__(self, lts: Lts):
         self.lts = lts
-        n = lts.n_states
-        silent: list[tuple[int, int]] = []
-        strong: dict[Comm, dict[int, list[int]]] = {}
-        for src, label, tgt in lts.transitions:
-            if isinstance(label, Tau):
-                silent.append((src, tgt))
-            else:
-                strong.setdefault(label, {}).setdefault(src, []).append(tgt)
-        self.alphabet = frozenset(strong)
-        self._strong = strong
+        columns = lts.transitions
+        self.labels = labels = columns.labels
+        self._offsets, self._ranks, self._targets = columns.offsets, columns.ranks, columns.targets
+        silent = bool(labels) and isinstance(labels[0], Tau)
+        self._visible = range(silent, len(labels))
         if not silent:
             self._comp = None
             self._cl = _Singletons()
             return
-        tau_adj: list[list[int]] = [[] for _ in range(n)]
-        for src, tgt in silent:
-            tau_adj[src].append(tgt)
+        self._sources = list(columns.sources())
+        tau_adj: list[list[int]] = [[] for _ in range(lts.n_states)]
+        for s, r, t in zip(self._sources, columns.ranks, columns.targets):
+            if not r:
+                tau_adj[s].append(t)
         self._comp, n_comp = _sccs(tau_adj)
         below: list[set[int]] = [set() for _ in range(n_comp)]
         for s, targets in enumerate(tau_adj):
             below[self._comp[s]].update(self._comp[t] for t in targets)
         self._below = [b - {c} for c, b in enumerate(below)]
-        self._cl = self._over_closure([1 << s for s in range(n)])
+        self._cl = self._over_closure([1 << s for s in range(lts.n_states)])
 
     @functools.cached_property
-    def _src(self) -> dict[Comm, int]:
-        """The bitset of the states with an l-transition; built on first use."""
-        return {l: _bitset(adj, self.n_states) for l, adj in self._strong.items()}
-
-    @functools.cached_property
-    def _moves(self) -> list[tuple[list[int], list[int]]]:
-        """Each state's strong steps as the list of their label numbers, one
-        per label in `_strong` order, and the list of their targets; built
-        on first use."""
-        n = self.n_states
-        labels: list[list[int]] = [[] for _ in range(n)]
-        targets: list[list[int]] = [[] for _ in range(n)]
-        for number, adj in enumerate(self._strong.values()):
-            for x, ys in adj.items():
-                labels[x] += [number] * len(ys)
-                targets[x] += ys
-        return list(zip(labels, targets))
+    def _src(self) -> list[int]:
+        """The bitset of the states with an r-step, for each rank r."""
+        members: list[list[int]] = [[] for _ in self.labels]
+        sources = self.lts.transitions.sources() if self._comp is None else self._sources
+        for s, r in zip(sources, self._ranks):
+            members[r].append(s)
+        return [_bitset(m, self.n_states) for m in members]
 
     def _over_closure(self, seed: list[int]) -> list[int]:
         """For every state, the OR of `seed` over its silent closure.
@@ -154,52 +146,60 @@ class WeakLts:
     def initial(self) -> int:
         return self.lts.initial
 
+    @property
+    def alphabet(self) -> frozenset[Comm]:
+        """The visible labels of the system's transitions."""
+        return frozenset(self.labels[self._visible.start:])
+
     def closure(self, s: int) -> frozenset[int]:
         return frozenset(_bits(self._cl[s]))
 
     def weak_succ(self, s: int, label: Comm) -> frozenset[int]:
-        return frozenset(_bits(self._post(self._cl[s], label)))
+        if label not in self.alphabet:
+            return frozenset()
+        return frozenset(_bits(self._post(self._cl[s], self.labels.index(label))))
 
     def enabled(self, s: int) -> frozenset[Comm]:
         """Visible labels weakly enabled at s."""
-        cl = self._cl[s]
-        return frozenset(l for l, src in self._src.items() if cl & src)
+        cl, src = self._cl[s], self._src
+        return frozenset(self.labels[r] for r in self._visible if cl & src[r])
 
-    def _post(self, states: int, label: Comm) -> int:
-        """Weak `label` successors of a silently closed bitset of states: the
-        closures of the members' strong `label` targets, ORed as they come."""
+    def _post(self, states: int, r: int) -> int:
+        """Weak r-successors of a silently closed bitset of states: the
+        closures of the members' strong r-targets, ORed as they come."""
         acc = 0
-        cl = self._cl
-        adj = self._strong.get(label)
-        for x in _bits(states & self._src.get(label, 0)):
-            for y in adj[x]:
+        cl, offsets, ranks, targets = self._cl, self._offsets, self._ranks, self._targets
+        for x in _bits(states & self._src[r]):
+            a, b = offsets[x], offsets[x + 1]  # x's steps, sorted by rank
+            for y in targets[bisect_left(ranks, r, a, b):bisect_right(ranks, r, a, b)]:
                 acc |= cl[y]
         return acc
 
-    def _signatures(self, block: Sequence[int], alphabet: Sequence[Comm]) -> Iterable:
+    def _signatures(self, block: Sequence[int]) -> Iterable:
         """Every state's signature for one round of partition refinement.
 
-        `block` numbers this system's states and `alphabet` holds its
-        labels.  With silent steps, a signature is one int: bit b is set
-        when the silent closure meets block b, and bit `(i + 1)·nb + b` when
-        a weak step by the i-th label reaches block b.  Without, the closure
-        is the state alone, and the signature is the frozenset of (label
-        number, block) pairs of its strong steps, yielded one at a time, so
-        a caller that keeps only distinct keys never holds them all.  Either
-        way two states of one block get equal signatures exactly when they
-        weakly reach the same blocks by the same labels.
+        `block` numbers this system's states.  With silent steps, a
+        signature is one int: bit b is set when the silent closure meets
+        block b, and bit `r·nb + b` when a weak step by the label of rank r
+        reaches block b.  Without, the closure is the state alone, and the
+        signature is the frozenset of (rank, block) pairs of its strong
+        steps, yielded one at a time, so a caller that keeps only distinct
+        keys never holds them all.  Either way two states of one block get
+        equal signatures exactly when they weakly reach the same blocks by
+        the same labels.
         """
+        offsets, ranks, targets = self._offsets, self._ranks, self._targets
         if self._comp is None:
             at = block.__getitem__
-            return (frozenset(zip(labels, map(at, ys))) for labels, ys in self._moves)
+            slices = zip(offsets, offsets[1:])
+            return (frozenset(zip(ranks[a:b], map(at, targets[a:b]))) for a, b in slices)
         nb = max(block) + 1
-        shift = {l: (i + 1) * nb for i, l in enumerate(alphabet)}
         reach = self._over_closure([1 << b for b in block])
         visible = [0] * len(block)
-        for label, adj in self._strong.items():
-            for x, targets in adj.items():
-                for y in targets:
-                    visible[x] |= reach[y] << shift[label]
+        for s, r, y in zip(self._sources, ranks, targets):
+            # A τ-step (rank 0) ORs its target's reach into the low bits,
+            # which the state's own reach holds already.
+            visible[s] |= reach[y] << r * nb
         # Rebinding frees the unclosed list and `reach` is ORed in place, so
         # fewer union-wide lists of masks are alive at once.
         visible = self._over_closure(visible)
@@ -225,13 +225,27 @@ class WeakPair(WeakLts):
     """The weak system over the disjoint union of a choreography and a
     collaboration: the choreography's states first, then the collaboration's
     shifted by `split`.  `initials` holds both initial states.  No silent or
-    visible step crosses from one side to the other.
+    visible step crosses from one side to the other.  The union's columns
+    are the two sides', ranks renumbered into the merged label table.
     """
 
     def __init__(self, choreo: Lts, collab: Lts):
         self.split = n = choreo.n_states
-        shifted = tuple([(s + n, l, t + n) for s, l, t in collab.transitions])
-        super().__init__(Lts(n + collab.n_states, choreo.initial, choreo.transitions + shifted))
+        a, b = choreo.transitions, collab.transitions
+        labels = a.labels
+        if labels == b.labels:
+            ranks = a.ranks + b.ranks
+        else:  # merged by key: hashing a label calls Python code
+            keys = [label_key(l) for l in a.labels], [label_key(l) for l in b.labels]
+            table = dict(zip(keys[0] + keys[1], a.labels + b.labels))
+            number = {k: r for r, k in enumerate(sorted(table))}
+            labels = tuple([table[k] for k in number])
+            ranks = list(map([number[k] for k in keys[0]].__getitem__, a.ranks))
+            ranks += map([number[k] for k in keys[1]].__getitem__, b.ranks)
+        offsets = a.offsets + [o + len(a.ranks) for o in b.offsets[1:]]
+        targets = a.targets + [t + n for t in b.targets]
+        union = _Columns(labels, offsets, ranks, targets)
+        super().__init__(Lts(n + collab.n_states, choreo.initial, union))
         self.initials = (choreo.initial, n + collab.initial)
 
 
@@ -295,12 +309,11 @@ def _refine(w: WeakLts):
     visible label, block) pairs it weakly reaches (see
     `WeakLts._signatures`), and new blocks are numbered by first occurrence.
     """
-    alphabet = sorted(w.alphabet, key=label_key)
     block = [0] * w.n_states
     history = [tuple(block)]
     while True:
         new_ids: dict[tuple, int] = {}
-        keys = zip(block, w._signatures(block, alphabet))
+        keys = zip(block, w._signatures(block))
         new = [new_ids.setdefault(key, len(new_ids)) for key in keys]
         if new == block:
             return history
@@ -314,7 +327,8 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
     From a non-bisimilar pair, the side separated at round r can always move
     (weakly) into a block the other side cannot reach in one weak step at
     round r-1; following such moves strictly decreases r, and pairs separated
-    at round 1 differ on their weakly enabled visible labels.
+    at round 1 differ on their weakly enabled visible labels.  A move is
+    silent (`None`) or the rank of a visible label.
     """
 
     def rank(u: int, v: int) -> int:
@@ -323,10 +337,10 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
                 return r
         return -1  # bisimilar
 
-    def moves(u: int, action):
-        return w.closure(u) if action is None else w.weak_succ(u, action)
+    def moves(u: int, action) -> Iterator[int]:
+        cl = w._cl[u]
+        return _bits(cl if action is None else w._post(cl, action))
 
-    alphabet = sorted(w.alphabet, key=label_key)
     sA, sB = w.initials
     path: list[Comm] = []
     while True:
@@ -340,7 +354,7 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
             return NonSimulablePair(tuple(path), offending, side, sA, sB - w.split)
         prev = history[r - 1]
         attack = None
-        for action in [None] + alphabet:
+        for action in [None, *w._visible]:
             blocks_a = {prev[t] for t in moves(sA, action)}
             blocks_b = {prev[t] for t in moves(sB, action)}
             only_a = sorted(blocks_a - blocks_b)
@@ -358,7 +372,7 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
         replies = sorted(moves(defender, action))
         t_new = min(replies, key=lambda t: (rank(s_new, t), t))
         if action is not None:
-            path.append(action)
+            path.append(w.labels[action])
         sA, sB = (s_new, t_new) if attacker == sA else (t_new, s_new)
 
 
@@ -391,35 +405,34 @@ def check_tbc(
     or of the two sides of a `WeakPair` given alone.
 
     Product states are pairs of silently closed bitsets, so the labels a set
-    weakly enables are those whose strong sources it contains.
+    weakly enables are those whose strong sources it contains.  Labels are
+    their ranks, in `label_key` order, until the trace is built.
     """
     w = choreo if collab is None else saturate_pair(choreo, collab, hidden)
-    sources = [(l, w._src[l]) for l in sorted(w.alphabet, key=label_key)]
+    sources = [(r, w._src[r]) for r in w._visible]
     start = tuple([w._cl[s] for s in w.initials])
     parent: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         key = queue.popleft()
         sa, sb = key
-        ea = [l for l, src in sources if sa & src]
-        eb = [l for l, src in sources if sb & src]
+        ea = [r for r, src in sources if sa & src]
+        eb = [r for r, src in sources if sb & src]
         if ea != eb:
-            offending = min(set(ea) ^ set(eb), key=label_key)
+            offending = min(set(ea) ^ set(eb))
             side = CHOREOGRAPHY if offending in ea else COLLABORATION
-            labels = [offending]
+            ranks = [offending]
             back = parent[key]
             while back is not None:
-                prev_key, label = back
-                labels.append(label)
+                prev_key, r = back
+                ranks.append(r)
                 back = parent[prev_key]
-            labels.reverse()
-            return ConformanceResult(
-                "tbc", False, DistinguishingTrace(tuple(labels), side)
-            )
-        for label in ea:
-            nxt = (w._post(sa, label), w._post(sb, label))
+            labels = tuple([w.labels[r] for r in reversed(ranks)])
+            return ConformanceResult("tbc", False, DistinguishingTrace(labels, side))
+        for r in ea:
+            nxt = (w._post(sa, r), w._post(sb, r))
             if nxt not in parent:
-                parent[nxt] = (key, label)
+                parent[nxt] = (key, r)
                 queue.append(nxt)
     return ConformanceResult("tbc", True)
 
@@ -461,14 +474,20 @@ def export_aut(lts: Lts) -> bytes:
     Header `des (initial, transitions, states)` followed by one
     `(from, "label", to)` line per transition in canonical order; visible
     labels are rendered `sender->receiver:message` and silent ones `tau`.
+    Each label and each state number is rendered once, and the lines are
+    formatted from the columns.
     """
-    # Each label object is rendered once, in order of first use, and looked
-    # up by identity: hashing a label calls Python code.
-    labels = {id(label): label for _, label, _ in lts.transitions}
-    middle = {i: f', "{_render_label(label)}", ' for i, label in labels.items()}
-    lines = [f"des ({lts.initial}, {len(lts.transitions)}, {lts.n_states})"]
+    columns = lts.transitions
+    try:
+        middle = [f', "{_render_label(label)}", ' for label in columns.labels]
+    except InputError:
+        for r in columns.ranks:  # name the first one in transition order
+            _render_label(columns.labels[r])
+        raise
     nums = [str(s) for s in range(lts.n_states)]
-    lines += [f"({nums[src]}{middle[id(label)]}{nums[tgt]})" for src, label, tgt in lts.transitions]
+    lines = [f"des ({lts.initial}, {len(columns)}, {lts.n_states})"]
+    steps = zip(columns.sources(), columns.ranks, columns.targets)
+    lines += [f"({nums[src]}{middle[r]}{nums[tgt]})" for src, r, tgt in steps]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -481,11 +500,13 @@ def _parse_label(text: str, lineno: int) -> Label:
     return Comm(m.group(1), m.group(2), m.group(3))
 
 
-def parse_aut(data: Union[bytes, str]) -> Lts:
+def parse_aut(data: Union[bytes, str], bounds: Optional[ExplorationBounds] = None) -> Lts:
     """Read an Aldebaran file back into an LTS.
 
     Inverse of export_aut on its output; also accepts unquoted labels as
-    produced by other tools.
+    produced by other tools.  The columns keep one offset per declared
+    state; given `bounds`, a file declaring more than `bounds.max_states`
+    states is refused (`BoundExceeded`) before they are made.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = text.splitlines()
@@ -507,7 +528,7 @@ def parse_aut(data: Union[bytes, str]) -> Lts:
     # Each distinct label text is read once; transitions name it by number.
     number: dict[str, int] = {}
     parsed: list[Label] = []
-    transitions = []
+    sources, numbers, targets = [], [], []
     for lineno, line in body:
         m = _EDGE_RE.match(line)
         if m is None:
@@ -524,11 +545,16 @@ def parse_aut(data: Union[bytes, str]) -> Lts:
         if i is None:
             i = number[label_text] = len(parsed)
             parsed.append(_parse_label(label_text, lineno))
-        transitions.append((src, i, tgt))
+        sources.append(src)
+        numbers.append(i)
+        targets.append(tgt)
     if initial >= n_states:
         raise AutSyntaxError("initial state outside declared states", 1)
+    if bounds is not None and n_states > bounds.max_states:
+        detail = f"declares {n_states} states, more than {bounds.max_states}"
+        raise BoundExceeded("states", detail, 0, 0)
     labels = sorted(set(parsed), key=label_key)
     rank = {label: r for r, label in enumerate(labels)}
     ranks = [rank[label] for label in parsed]
-    ranked = [(src, ranks[i], tgt) for src, i, tgt in transitions]
-    return Lts.from_ranks(n_states, initial, labels, ranked)
+    steps = zip(sources, map(ranks.__getitem__, numbers), targets)
+    return Lts(n_states, initial, _Columns.from_steps(n_states, labels, steps))

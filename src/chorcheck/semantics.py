@@ -17,13 +17,20 @@ Labels it is given as `hidden` are explored as τ.  With `reduce=True` it
 visits one representative per class of markings joined by confluent silent
 steps (see `confluent_rules`) and returns a smaller, branching-bisimilar
 system whose states are reachable markings.
+
+An `Lts` keeps its transitions as its sorted label table and int columns
+in compressed sparse rows by source, each step a label rank and a target
+(see `_Columns`); they read as the tuple of `(source, label, target)`,
+decoded on its first read, which no command makes.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+import functools
+
+from itertools import accumulate, chain, compress, repeat
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     TAU,
@@ -96,40 +103,131 @@ class BoundExceeded(Exception):
 class Lts(Value, uncompared=("states",)):
     """A finite labelled transition system with canonical transition order.
 
-    Transitions are sorted by (source, label, target) and duplicate-free;
-    state 0 is always the initial state for generated systems.  `states`
-    optionally carries the marking behind each state index (see `Net`) and
-    is left out of equality, hash and repr.  A generated system's `states`
-    is a `_Markings`: it reads as a tuple of token-count tuples, but keeps the
-    markings packed until its first read.
+    Transitions read as `(source, label, target)` tuples sorted by (source,
+    label, target), duplicate-free; state 0 is always the initial state for
+    generated systems.  They are kept as `_Columns`, which producers write
+    directly; transitions given in any other form, such as tuples in any
+    order and possibly repeated, are put into columns on construction.  So
+    equality and hash compare columns, and a system is one value however it
+    was made.  `states` optionally carries the marking behind each state
+    index (see `Net`; a generated system's is a `_Markings`, decoded on its
+    first read) and is left out of equality, hash and repr.
     """
 
     n_states: int
     initial: int
-    transitions: tuple[tuple[int, Label, int], ...]
+    transitions: _Columns
     states: Optional[Sequence] = None
+
+    def __post_init__(self):
+        given = self.transitions
+        if not isinstance(given, _Columns):
+            if not 0 <= self.initial < self.n_states:
+                raise ValueError("initial state out of range")
+            labels = sorted({label for _, label, _ in given}, key=label_key)
+            rank = {label: r for r, label in enumerate(labels)}
+            steps = [(src, rank[label], tgt) for src, label, tgt in given]
+            object.__setattr__(self, "transitions", _Columns.from_steps(self.n_states, labels, steps))
 
     @staticmethod
     def make(n_states, initial, transitions, states=None) -> "Lts":
-        labels = sorted({label for _, label, _ in transitions}, key=label_key)
-        rank = {label: r for r, label in enumerate(labels)}
-        ranked = [(src, rank[label], tgt) for src, label, tgt in transitions]
-        return Lts.from_ranks(n_states, initial, labels, ranked, states)
-
-    @staticmethod
-    def from_ranks(n_states, initial, labels, transitions, states=None) -> "Lts":
-        """`make` for transitions `(src, r, tgt)` whose label is `labels[r]`,
-        with `labels` distinct and sorted by `label_key`."""
-        uniq = sorted(set(transitions))
-        for src, _, tgt in uniq:
-            if not (0 <= src < n_states and 0 <= tgt < n_states):
-                raise ValueError(f"transition endpoint out of range: {(src, tgt)}")
-        if not 0 <= initial < n_states:
-            raise ValueError("initial state out of range")
-        return Lts(n_states, initial, tuple([(s, labels[r], t) for s, r, t in uniq]), states)
+        """`Lts(...)`, which takes transitions in any order, possibly repeated."""
+        return Lts(n_states, initial, transitions, states)
 
     def labels(self) -> frozenset[Comm]:
-        return frozenset(l for _, l, _ in self.transitions if isinstance(l, Comm))
+        return frozenset(l for l in self.transitions.labels if isinstance(l, Comm))
+
+
+class _Decoded:
+    """A sequence read as the tuple `_decode()` builds on its first read:
+    indexing, iteration, `index`, `==` with a tuple either way round and
+    `repr` read that tuple, and `len` decodes nothing."""
+
+    @functools.cached_property
+    def decoded(self) -> tuple:
+        return self._decode()
+
+    def __getitem__(self, i):
+        return self.decoded[i]
+
+    def __iter__(self):
+        return iter(self.decoded)
+
+    def index(self, *args):
+        return self.decoded.index(*args)
+
+    def __eq__(self, other):
+        return self.decoded == other
+
+    def __repr__(self):
+        return repr(self.decoded)
+
+
+class _Columns(_Decoded):
+    """The transitions of an `Lts` in compressed sparse rows by source.
+
+    `labels` holds the labels that occur, sorted by `label_key`, so τ has
+    rank 0 when it occurs.  State s has the steps `offsets[s]` up to
+    `offsets[s + 1]` of the `ranks` (label numbers in `labels`) and
+    `targets`, sorted by (rank, target) and duplicate-free.  It reads as the
+    tuple of `(source, label, target)` (see `_Decoded`); being canonical, it
+    compares with and hashes as other columns without decoding.
+    """
+
+    def __init__(self, labels: tuple, offsets: list[int], ranks: list[int], targets: list[int]):
+        self.labels, self.offsets, self.ranks, self.targets = labels, offsets, ranks, targets
+
+    def __eq__(self, other):
+        if isinstance(other, _Columns):
+            return (self.labels, self.offsets, self.ranks, self.targets) == (
+                other.labels, other.offsets, other.ranks, other.targets)
+        return self.decoded == other
+
+    def __hash__(self):
+        return hash((self.labels, tuple(self.offsets), tuple(self.ranks), tuple(self.targets)))
+
+    @staticmethod
+    def from_codes(labels: Sequence, offsets: list[int], codes: list[int], bits: int) -> "_Columns":
+        """The columns of steps coded `rank << bits | target`, each state's
+        sorted and duplicate-free; labels that no step has are dropped."""
+        ranks = [c >> bits for c in codes]
+        used = set(ranks)
+        if len(used) < len(labels):
+            used = sorted(used)
+            renumber = dict(zip(used, range(len(used))))
+            labels = [labels[r] for r in used]
+            ranks = list(map(renumber.__getitem__, ranks))
+        # Targets name the int objects of `range`: one per state, not per step.
+        numbers, mask = list(range(len(offsets) - 1)), (1 << bits) - 1
+        return _Columns(tuple(labels), offsets, ranks, [numbers[c & mask] for c in codes])
+
+    @staticmethod
+    def from_steps(n_states: int, labels: Sequence, steps: Iterable[tuple[int, int, int]]) -> "_Columns":
+        """The columns of steps `(src, rank, tgt)` in any order, possibly repeated."""
+        bits = n_states.bit_length()
+        rows: list[list[int]] = [[] for _ in range(n_states)]
+        for src, r, tgt in steps:
+            if not (0 <= src < n_states and 0 <= tgt < n_states):
+                raise ValueError(f"transition endpoint out of range: {(src, tgt)}")
+            rows[src].append(r << bits | tgt)
+        codes, offsets = [], [0]
+        for row in rows:
+            codes += sorted(set(row))
+            offsets.append(len(codes))
+        return _Columns.from_codes(labels, offsets, codes, bits)
+
+    def sources(self) -> Iterator[int]:
+        """The source of each step, in column order."""
+        offsets = self.offsets
+        degrees = map(sub, offsets[1:], offsets)
+        return chain.from_iterable(map(repeat, range(len(offsets) - 1), degrees))
+
+    def __len__(self):
+        return len(self.targets)
+
+    def _decode(self) -> tuple[tuple[int, Label, int], ...]:
+        labels = map(self.labels.__getitem__, self.ranks)
+        return tuple(list(zip(self.sources(), labels, self.targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,43 +499,19 @@ class _Packing:
         return next(_Overflow(p, n) for p, n in counts if n > self.caps[p])
 
 
-class _Markings:
+class _Markings(_Decoded):
     """The markings of a generated `Lts`, packed as `generate_lts` explored
-    them and decoded by `packing` into token-count tuples on first read.
-
-    It reads as that tuple of tuples: indexing, iteration, `index`, `==`
-    with a tuple either way round and `repr`; `len` decodes nothing.
-    """
-
-    __slots__ = ("_packed", "_packing", "_decoded")
+    them and decoded by `packing` into token-count tuples (see `_Decoded`)."""
 
     def __init__(self, packed: list[int], packing: _Packing):
         self._packed = packed
         self._packing = packing
-        self._decoded = None
-
-    def decoded(self) -> tuple[tuple[int, ...], ...]:
-        if self._decoded is None:
-            self._decoded = self._packing.unpack(self._packed)
-        return self._decoded
 
     def __len__(self):
         return len(self._packed)
 
-    def __getitem__(self, i):
-        return self.decoded()[i]
-
-    def __iter__(self):
-        return iter(self.decoded())
-
-    def index(self, *args):
-        return self.decoded().index(*args)
-
-    def __eq__(self, other):
-        return self.decoded() == other
-
-    def __repr__(self):
-        return repr(self.decoded())
+    def _decode(self) -> tuple[tuple[int, ...], ...]:
+        return self._packing.unpack(self._packed)
 
 
 class _Confluence:
@@ -519,7 +593,9 @@ def generate_lts(
     is nonzero exactly when one of them passed its cap, and only then is
     the marking decoded to name the place.  `Lts.states` keeps the markings
     packed and decodes them all into tuples of token counts (see `Net`) on
-    its first read (see `_Markings`).
+    its first read (see `_Markings`).  A step is one `int` too, `rank <<
+    bits | target`, so a state's sorted steps are in (label, target) order;
+    all are kept in one list, then in the columns of `Lts.transitions`.
 
     With `reduce`, exploration visits representatives only (Groote & van de
     Pol 2000; on the fly as in Blom & van de Pol 2002).  Confluent rules (see
@@ -537,28 +613,35 @@ def generate_lts(
     """
     net = compile_net(model, hidden)
     packing = _Packing(net.places, bounds)
-    # Labels are ranked by object first: hashing a label calls Python code.
-    by_id = {id(rule.label): rule.label for rule in net.rules}
-    labels = sorted(set(by_id.values()), key=label_key)
-    rank = {label: r for r, label in enumerate(labels)}
-    rank_of_id = {i: rank[label] for i, label in by_id.items()}
     masks = packing.masks(net.rules)
     order = _confluent_sinks_first(net) if reduce else []
     confluence = _Confluence([(net.rules[i], masks[i]) for i in order], packing)
     chosen = set(order)
+    # The explored rules' labels are ranked by object first: hashing a
+    # label calls Python code.
+    by_id = {id(rule.label): rule.label for i, rule in enumerate(net.rules) if i not in chosen}
+    labels = sorted(set(by_id.values()), key=label_key)
+    rank = {label: r for r, label in enumerate(labels)}
+    max_states = bounds.max_states
+    bits = max_states.bit_length()
+    code_of_id = {i: rank[label] << bits for i, label in by_id.items()}
     rules = []  # (gpre, rest): a disabled rule unpacks its mask alone
     for i, (_, _, post, label) in enumerate(net.rules):
         if i not in chosen:
             gpre, delta, gpost = masks[i]
-            rest = (delta, gpost, post, rank_of_id[id(label)], confluence.feeds(post))
+            rest = (delta, gpost, post, code_of_id[id(label)], confluence.feeds(post))
             rules.append((gpre, rest))
+    # Two steps of a state repeat only when two rules with one label reach
+    # one marking: by one change, or, when reducing, through `settle`.
+    # Otherwise a plain sort is enough, and on the benchmark's full fan-in
+    # k=3 exploration a set per state would cost a fifth more.
+    repeats = reduce or len({(rest[3], rest[0]) for _, rest in rules}) < len(rules)
     settle = confluence.settle
     guards, ones, bias = packing.guards, packing.ones, packing.bias
-    max_states = bounds.max_states
 
     states = []
     index = {}
-    transitions = []
+    codes, offsets = [], [0]
     src = -1  # nothing expanded until the initial state exists
     try:
         initial = settle(packing.pack(net.initial), confluence.feeds(range(len(net.places))))
@@ -569,7 +652,7 @@ def generate_lts(
             steps = []
             for gpre, rule in rules:
                 if not empty & gpre:
-                    delta, gpost, post, r, fed = rule
+                    delta, gpost, post, code, fed = rule
                     nxt = marking + delta
                     if (nxt + bias) & gpost:
                         raise packing.overflow(nxt, post)
@@ -585,16 +668,17 @@ def generate_lts(
                             )
                         index[nxt] = tgt
                         states.append(nxt)
-                    steps.append((r, tgt))
-            steps.sort()
-            last = None
-            for step in steps:  # sorted, so a repeated step follows its twin
-                if step != last:
-                    last = step
-                    transitions.append((src, labels[step[0]], step[1]))
+                    steps.append(code | tgt)
+            if repeats and len(steps) > 1:
+                steps = sorted(set(steps))
+            else:
+                steps.sort()
+            codes += steps
+            offsets.append(len(codes))
     except _Overflow as err:
         raise _overflow(net.places[err.place], err.count, len(states), src) from None
-    return Lts(len(states), 0, tuple(transitions), _Markings(states, packing))
+    columns = _Columns.from_codes(labels, offsets, codes, bits)
+    return Lts(len(states), 0, columns, _Markings(states, packing))
 
 
 def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:
@@ -620,26 +704,27 @@ def _hideable(hidden: Iterable[Comm]) -> frozenset:
 def hide(lts: Lts, hidden: Iterable[Comm]) -> Lts:
     """Relabel every transition whose label is in `hidden` to tau.
 
-    Transitions keep their canonical order: only the run of a source that
-    has a hidden label changes, its tau moves (old and new, merged) first.
+    The hidden labels leave the label table and τ joins it at rank 0.  Only
+    a source with a hidden step has its steps sorted again, its τ-steps
+    (old and new, merged) first.
     """
     hidden = _hideable(hidden)
-    if not hidden:
+    old = lts.transitions
+    gone = [label in hidden for label in old.labels] if hidden else ()
+    if not any(gone):
         return lts
-    out = []
-    changed = False
-    for src, run in groupby(lts.transitions, key=itemgetter(0)):
-        run = list(run)
-        if any(label in hidden for _, label, _ in run):
-            changed = True
-            taus = {tgt for _, label, tgt in run if isinstance(label, Tau) or label in hidden}
-            out += [(src, TAU, tgt) for tgt in sorted(taus)]
-            out += [t for t in run if not isinstance(t[1], Tau) and t[1] not in hidden]
-        else:
-            out += run
-    if not changed:
-        return lts
-    return Lts(lts.n_states, lts.initial, tuple(out), lts.states)
+    kept = [not g and isinstance(l, Comm) for l, g in zip(old.labels, gone)]
+    labels = [TAU, *compress(old.labels, kept)]
+    renumber = [n if k else 0 for k, n in zip(kept, accumulate(kept))]  # τ at 0
+    bits = lts.n_states.bit_length()
+    ranks, targets = old.ranks, old.targets
+    codes, offsets = [], [0]
+    for a, b in zip(old.offsets, old.offsets[1:]):
+        steps = [renumber[r] << bits | t for r, t in zip(ranks[a:b], targets[a:b])]
+        codes += sorted(set(steps)) if any(map(gone.__getitem__, ranks[a:b])) else steps
+        offsets.append(len(codes))
+    columns = _Columns.from_codes(labels, offsets, codes, bits)
+    return Lts(lts.n_states, lts.initial, columns, lts.states)
 
 
 def hiding_set(choreo, collab) -> frozenset[Comm]:

@@ -31,7 +31,7 @@ from chorcheck import (
 )
 from chorcheck.cli import main
 from chorcheck.conformance import InternalError
-from chorcheck.semantics import _Packing
+from chorcheck.semantics import _Columns, _Packing
 from conftest import GOLDEN, fixture_path
 from generators import matched_tuple_pair, xor_tuple_pair
 
@@ -604,38 +604,52 @@ def test_patched_module_names_take_effect_after_the_parser_exists(monkeypatch, c
 
 
 def test_no_command_decodes_the_explored_markings(monkeypatch, tmp_path, capsys):
-    """No command reads `Lts.states`, so none decodes a marking: with the
-    decoder refusing, each call answers as before.  The markings read
-    afterwards are those of the eager decode."""
+    """No command reads `Lts.states` or iterates `Lts.transitions`, so none
+    decodes a marking or a transition tuple: with both decoders refusing,
+    each call answers as before.  One `check` reads its collaboration from
+    an `.aut` and hides a label of it.  The markings read afterwards are
+    those of the eager decode."""
     aut = tmp_path / "booking.aut"
+    guarded = tmp_path / "guarded.aut"
     calls = [
         ["check", fx("two_messages_choreography.txt"), fx("two_messages_inorder.txt"),
          "--relation", "both", "--report", "lines"],
         ["check", fx("drink_shopping_choreography.txt"), fx("drink_shopping_collaboration.txt")],
         ["check", fx("booking_choreography.txt"), fx("booking_collaboration.txt")],
         ["lts", fx("booking_collaboration.txt"), "-o", str(aut)],
+        ["lts", fx("request_response_guarded.txt"), "-o", str(guarded)],
+        ["check", fx("request_response_choreography.txt"), str(guarded), "--report", "lines"],
     ]
     expected = [in_process(argv, capsys) for argv in calls]
-    assert [code for code, _, _ in expected] == [0, 4, 4, 0]
+    assert [code for code, _, _ in expected] == [0, 4, 4, 0, 0, 0]
     assert "only the choreography can perform" in expected[1][1]
     assert "c->bs:login · c->bs:request · bs->c:reply · c->bk:pay" in expected[2][1]
+    assert expected[5][1] == "tbc true\nbbc true\n"
     aut.unlink()
     explored = []
+    hidden = []
 
     def recording(model, bounds, **kwargs):
         lts = generate_lts(model, bounds, **kwargs)
         explored.append((model, bounds, kwargs, lts))
         return lts
 
-    def refuse(self, markings):
-        raise AssertionError("explored markings decoded")
+    def hiding(lts, labels):
+        hidden.append(labels)
+        return hide(lts, labels)
+
+    def refuse(self, *args):
+        raise AssertionError("explored markings or transitions decoded")
 
     monkeypatch.setattr(cli, "generate_lts", recording)
+    monkeypatch.setattr(cli, "hide", hiding)
     with monkeypatch.context() as patch:
         patch.setattr(_Packing, "unpack", refuse)
+        patch.setattr(_Columns, "_decode", refuse)
         assert [in_process(argv, capsys) for argv in calls] == expected
     assert aut.read_bytes() == (GOLDEN / "booking_collaboration.aut").read_bytes()
-    assert len(explored) == 7
+    assert hidden == [frozenset({Comm("B", "A", "m")})]
+    assert len(explored) == 9
     for model, bounds, kwargs, lts in explored:
         assert lts.states == oracle_explore.generate_lts(model, bounds, **kwargs).states
 

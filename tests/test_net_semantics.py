@@ -7,6 +7,7 @@ fail with the same kind of BoundExceeded.  `hide` must equal the oracle's
 re-sorting `hide`.
 """
 
+import gc
 import itertools
 import random
 
@@ -34,7 +35,7 @@ from chorcheck import (
     parse_collaboration,
     parse_process,
 )
-from chorcheck.semantics import DEFAULT_BOUNDS, _Packing, compile_net
+from chorcheck.semantics import DEFAULT_BOUNDS, _Columns, _Packing, compile_net
 from conftest import FIXTURES, fixture_text
 from generators import fanin, matched_process_tuple, random_lts
 
@@ -222,6 +223,43 @@ def test_generated_markings_read_as_their_tuple_and_decode_once(monkeypatch):
     assert repr(states) == repr(eager)
     assert len(calls) == 1
     assert hide(lts, labels_collab(collab)).states is states
+
+
+def test_generated_transitions_read_as_their_tuple_and_decode_once(monkeypatch):
+    """`Lts.transitions` of a generated system stays in columns through
+    `len`, and its first read decodes it, once, into the reference tuple;
+    equal columns compare and hash without decoding."""
+    _, collab = fanin(2)
+    lts = generate_lts(collab)
+    eager = tuple(oracle_explore.generate_lts(collab).transitions)
+    calls = []
+    decode = _Columns._decode
+    monkeypatch.setattr(_Columns, "_decode", lambda self: calls.append(self) or decode(self))
+    transitions = lts.transitions
+    assert len(transitions) == len(eager) > 3 and not calls
+    assert transitions == eager and eager == transitions and not transitions != eager
+    assert transitions != list(eager) and transitions != eager[1:]
+    assert (transitions[0], transitions[-1], transitions[1:3]) == (eager[0], eager[-1], eager[1:3])
+    assert tuple(transitions) == eager and transitions.index(eager[3]) == 3
+    assert eager[3] in transitions
+    assert repr(transitions) == repr(eager) and len(calls) == 1
+    again = generate_lts(collab).transitions
+    assert again == transitions and hash(again) == hash(transitions) and len(calls) == 1
+
+
+def test_an_explored_system_keeps_fewer_objects_than_states():
+    """Full fan-in k=5 (9 888 states, 48 832 transitions) keeps its steps in
+    a few int lists, so the garbage collector tracks fewer objects for it
+    than it has states, where one tuple per transition kept 48 839."""
+    _, collab = fanin(5)
+    generate_lts(fanin(1)[1])  # what a first exploration keeps for the process
+    gc.collect()
+    before = len(gc.get_objects())
+    lts = generate_lts(collab)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert lts.n_states == 9_888 and len(lts.transitions) == 48_832
+    assert kept < lts.n_states, kept
 
 
 def test_hide_returns_the_system_when_nothing_is_hidden():

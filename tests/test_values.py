@@ -13,6 +13,8 @@ import random
 import pytest
 
 import chorcheck  # noqa: F401  (imports every module that defines value classes)
+import oracle_explore
+from chorcheck import export_aut, generate_lts, parse_aut, parse_collaboration
 from chorcheck.model import (
     TAU,
     Collaboration,
@@ -26,7 +28,8 @@ from chorcheck.model import (
     Value,
     replace,
 )
-from chorcheck.semantics import Lts
+from chorcheck.semantics import Lts, _Columns
+from conftest import fixture_text
 
 VALUE_CLASSES = {
     "Tau", "Comm", "MessageEdge",
@@ -75,6 +78,11 @@ for _cls in CLASSES:
 
 LEAVES = ["a", "b", None, 1, 2, (), ("a", "b"), TAU, Comm("a", "b", "m"),
           MessageEdge("a", "b", "m")]
+LTS_FIELDS = {
+    "n_states": [2, 3],
+    "initial": [0, 1],
+    "transitions": [(), ((0, TAU, 1),), ((1, Comm("a", "b", "m"), 0), (0, TAU, 1))],
+}
 POOLS = [(), (Pool("p", (StartEvent("s"),)),), (Pool("p", ()), Pool("q", (StartEvent("t"),)))]
 
 
@@ -83,6 +91,8 @@ def field_value(rng, name):
         return rng.choice(POOLS)
     if name.startswith("max_"):
         return rng.randint(1, 3)
+    if name in ("n_states", "initial", "transitions"):  # `Lts` builds its columns
+        return rng.choice(LTS_FIELDS[name])
     return rng.choice(LEAVES)
 
 
@@ -139,6 +149,27 @@ def test_uncompared_and_derived_fields():
     assert collab._fields == ("pools",)
     assert collab.nodes == TWINS[Collaboration](pools).nodes == (StartEvent("t"),)
     assert replace(collab, pools=POOLS[1]).nodes == (StartEvent("s"),)
+
+
+def test_an_lts_is_one_value_however_it_is_stored():
+    """A system given as its tuple, explored into columns, read back from
+    `.aut` and made from shuffled, repeated tuples is one value: equal,
+    with equal hash and repr; another initial state or one transition
+    fewer makes another value.  Each holds its transitions in columns."""
+    model = parse_collaboration(fixture_text("booking_collaboration.txt"))
+    explored = generate_lts(model)
+    tuples = oracle_explore.generate_lts(model).transitions
+    n = explored.n_states
+    given = Lts(n, 0, tuples)
+    shuffled = list(tuples) * 2
+    random.Random(6).shuffle(shuffled)
+    systems = [given, explored, parse_aut(export_aut(explored)), Lts.make(n, 0, shuffled)]
+    for a in systems:
+        assert isinstance(a.transitions, _Columns)
+        for b in systems:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    for other in (Lts(n, 1, tuples), Lts.make(n, 0, tuples[1:])):
+        assert all(other != a and repr(other) != repr(a) for a in systems)
 
 
 def test_keyword_construction_and_defaults():

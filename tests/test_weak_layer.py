@@ -124,8 +124,14 @@ def test_source_bitsets_equal_the_sum_of_their_bits():
         for members in sets:
             assert _bitset(members, n) == sum(1 << x for x in members)
     for _ in range(100):
-        w = saturate(random_lts(rng, max_states=40))
-        assert w._src == {l: sum(1 << x for x in adj) for l, adj in w._strong.items()}
+        lts = random_lts(rng, max_states=40)
+        sources = {}
+        for x, label, _ in lts.transitions:
+            sources.setdefault(label, set()).add(x)
+        w = saturate(lts)
+        assert dict(zip(w.labels, w._src)) == {
+            l: sum(1 << x for x in xs) for l, xs in sources.items()
+        }
 
 
 def test_results_and_weak_sets_equal_the_reference_on_fixtures():
