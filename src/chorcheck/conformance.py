@@ -18,12 +18,14 @@ Both decide on one weak system over the disjoint union of the two LTSs
 the silent graph condensed into strongly connected components, closures as
 int bitsets, and the strong steps, read as each state's slice of the
 union's label-rank and target columns, so that no label is hashed per
-transition.  No weak step is stored: one is formed when it is taken, as the
-union of the closures of its strong targets, and both checkers form unions
-of these bitsets as they go.  When the union has no silent transition, as
-for most representatives `check` explores, no silent graph is built: weak
-steps are the strong steps, and refinement keys each state by the sparse
-set of (label rank, block) pairs of its strong steps instead of a bitmask.
+transition.  No weak step is stored.  The weak steps of a silently closed
+set of states are formed in one sweep over its members' slices, the
+closures of the targets ORed per label rank; the TBC search, the BBC
+witness and `enabled` all read that sweep.  When the union has no silent
+transition, as for most representatives `check` explores, no silent graph
+is built: weak steps are the strong steps, and refinement keys each state
+by the sparse set of (label rank, block) pairs of its strong steps instead
+of a bitmask.
 
 Weak bisimilarity implies weak trace equivalence, so a caller deciding both
 can decide BBC first and, when it holds, skip the TBC search.
@@ -35,10 +37,8 @@ transition systems read back from `.aut` files.
 
 from __future__ import annotations
 
-import functools
 import re
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -58,15 +58,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bitset(members: Iterable[int], n: int) -> int:
-    """The bitset of `members`, each below `n`, built in linear time: a sum
-    of `1 << x` copies an ever longer int at every step."""
-    bits = bytearray((n + 7) // 8)
-    for x in members:
-        bits[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(bits, "little")
-
-
 class WeakLts:
     """An LTS enriched with its silent closure and weak visible steps.
 
@@ -81,10 +72,9 @@ class WeakLts:
     `_sources`, with silent steps only, the source of each step.  Sets of
     states are int bitsets, decoded on demand.  `_comp[s]` is the silent
     strongly connected component of s, and `_below[c]` the other components
-    c has a silent transition into.  `_cl[s]` is the closure of s.
-    `_src[r]`, the bitset of the states with an r-step, is built on first
-    use, as a holding bisimulation check does not need it.  Weak steps are
-    not stored but formed when taken (`_post`), from the slices and `_cl`.
+    c has a silent transition into.  `_cl[s]` is the closure of s.  Weak
+    steps are not stored: `_steps` forms those of a closed set of states in
+    one sweep over its members' slices, from the targets' `_cl`.
 
     A system without silent transitions, as are most that `check` explores,
     builds no silent graph: `_comp` is None, the closure of s is `1 << s`,
@@ -114,15 +104,6 @@ class WeakLts:
             below[self._comp[s]].update(self._comp[t] for t in targets)
         self._below = [b - {c} for c, b in enumerate(below)]
         self._cl = self._over_closure([1 << s for s in range(lts.n_states)])
-
-    @functools.cached_property
-    def _src(self) -> list[int]:
-        """The bitset of the states with an r-step, for each rank r."""
-        members: list[list[int]] = [[] for _ in self.labels]
-        sources = self.lts.transitions.sources() if self._comp is None else self._sources
-        for s, r in zip(sources, self._ranks):
-            members[r].append(s)
-        return [_bitset(m, self.n_states) for m in members]
 
     def _over_closure(self, seed: list[int]) -> list[int]:
         """For every state, the OR of `seed` over its silent closure.
@@ -157,22 +138,24 @@ class WeakLts:
     def weak_succ(self, s: int, label: Comm) -> frozenset[int]:
         if label not in self.alphabet:
             return frozenset()
-        return frozenset(_bits(self._post(self._cl[s], self.labels.index(label))))
+        return frozenset(_bits(self._steps(self._cl[s]).get(self.labels.index(label), 0)))
 
     def enabled(self, s: int) -> frozenset[Comm]:
         """Visible labels weakly enabled at s."""
-        cl, src = self._cl[s], self._src
-        return frozenset(self.labels[r] for r in self._visible if cl & src[r])
+        return frozenset(map(self.labels.__getitem__, self._steps(self._cl[s])))
 
-    def _post(self, states: int, r: int) -> int:
-        """Weak r-successors of a silently closed bitset of states: the
-        closures of the members' strong r-targets, ORed as they come."""
-        acc = 0
+    def _steps(self, states: int) -> dict[int, int]:
+        """The weak steps of a silently closed bitset of states, by the rank
+        of their visible label: each member's slice swept once, the closures
+        of its strong targets ORed into their rank's successors."""
+        acc: dict[int, int] = {}
         cl, offsets, ranks, targets = self._cl, self._offsets, self._ranks, self._targets
-        for x in _bits(states & self._src[r]):
-            a, b = offsets[x], offsets[x + 1]  # x's steps, sorted by rank
-            for y in targets[bisect_left(ranks, r, a, b):bisect_right(ranks, r, a, b)]:
-                acc |= cl[y]
+        lo = self._visible.start  # τ-steps stay inside a closed set
+        for x in _bits(states):
+            for i in range(offsets[x], offsets[x + 1]):
+                r = ranks[i]
+                if r >= lo:
+                    acc[r] = acc.get(r, 0) | cl[targets[i]]
         return acc
 
     def _signatures(self, block: Sequence[int]) -> Iterable:
@@ -337,10 +320,6 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
                 return r
         return -1  # bisimilar
 
-    def moves(u: int, action) -> Iterator[int]:
-        cl = w._cl[u]
-        return _bits(cl if action is None else w._post(cl, action))
-
     sA, sB = w.initials
     path: list[Comm] = []
     while True:
@@ -353,27 +332,24 @@ def _bbc_witness(w: WeakPair, history) -> NonSimulablePair:
             side = CHOREOGRAPHY if offending in ea else COLLABORATION
             return NonSimulablePair(tuple(path), offending, side, sA, sB - w.split)
         prev = history[r - 1]
-        attack = None
+        # Each side's moves, swept once: its closure, then its weak steps.
+        moves = [{None: cl, **w._steps(cl)} for cl in (w._cl[sA], w._cl[sB])]
         for action in [None, *w._visible]:
-            blocks_a = {prev[t] for t in moves(sA, action)}
-            blocks_b = {prev[t] for t in moves(sB, action)}
-            only_a = sorted(blocks_a - blocks_b)
-            only_b = sorted(blocks_b - blocks_a)
-            if only_a:
-                attack = (action, sA, sB, only_a[0])
+            blocks_a = {prev[t] for t in _bits(moves[0].get(action, 0))}
+            blocks_b = {prev[t] for t in _bits(moves[1].get(action, 0))}
+            only = blocks_a - blocks_b, blocks_b - blocks_a
+            if only[0] or only[1]:
                 break
-            if only_b:
-                attack = (action, sB, sA, only_b[0])
-                break
-        if attack is None:
+        else:
             raise InternalError("separated pair without a distinguishing move")
-        action, attacker, defender, target_block = attack
-        s_new = min(t for t in moves(attacker, action) if prev[t] == target_block)
-        replies = sorted(moves(defender, action))
+        i = 0 if only[0] else 1  # the attacking side, A when both can
+        target_block = min(only[i])
+        s_new = min(t for t in _bits(moves[i][action]) if prev[t] == target_block)
+        replies = _bits(moves[1 - i].get(action, 0))
         t_new = min(replies, key=lambda t: (rank(s_new, t), t))
         if action is not None:
             path.append(w.labels[action])
-        sA, sB = (s_new, t_new) if attacker == sA else (t_new, s_new)
+        sA, sB = (s_new, t_new) if i == 0 else (t_new, s_new)
 
 
 def check_bbc(
@@ -404,23 +380,22 @@ def check_tbc(
     """Weak trace conformance of `collab` (after hiding) against `choreo`,
     or of the two sides of a `WeakPair` given alone.
 
-    Product states are pairs of silently closed bitsets, so the labels a set
-    weakly enables are those whose strong sources it contains.  Labels are
-    their ranks, in `label_key` order, until the trace is built.
+    Product states are pairs of silently closed bitsets.  Each side's weak
+    steps are formed in one sweep of its set (`WeakLts._steps`), keyed by
+    label rank, so both sides enable the same labels exactly when their keys
+    agree.  Labels are their ranks, in `label_key` order, until the trace is
+    built, and successors are queued in that order.
     """
     w = choreo if collab is None else saturate_pair(choreo, collab, hidden)
-    sources = [(r, w._src[r]) for r in w._visible]
     start = tuple([w._cl[s] for s in w.initials])
     parent: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
     while queue:
         key = queue.popleft()
-        sa, sb = key
-        ea = [r for r, src in sources if sa & src]
-        eb = [r for r, src in sources if sb & src]
-        if ea != eb:
-            offending = min(set(ea) ^ set(eb))
-            side = CHOREOGRAPHY if offending in ea else COLLABORATION
+        pa, pb = map(w._steps, key)
+        if pa.keys() != pb.keys():
+            offending = min(pa.keys() ^ pb.keys())
+            side = CHOREOGRAPHY if offending in pa else COLLABORATION
             ranks = [offending]
             back = parent[key]
             while back is not None:
@@ -429,8 +404,8 @@ def check_tbc(
                 back = parent[prev_key]
             labels = tuple([w.labels[r] for r in reversed(ranks)])
             return ConformanceResult("tbc", False, DistinguishingTrace(labels, side))
-        for r in ea:
-            nxt = (w._post(sa, r), w._post(sb, r))
+        for r in sorted(pa):
+            nxt = (pa[r], pb[r])
             if nxt not in parent:
                 parent[nxt] = (key, r)
                 queue.append(nxt)

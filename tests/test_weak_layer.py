@@ -5,6 +5,7 @@ reference's, and so must every closure, weak successor set and enabled set.
 """
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -25,7 +26,7 @@ from chorcheck import (
     parse_process,
     saturate,
 )
-from chorcheck.conformance import InternalError, _bbc_witness, _bitset, _refine, saturate_pair
+from chorcheck.conformance import InternalError, _bbc_witness, _refine, saturate_pair
 from conftest import fixture_text
 from generators import fanin, random_lts, tau_padded, xor_tuple_pair
 from test_conformance import renumbered
@@ -85,53 +86,62 @@ def assert_same_weak_sets(lts):
             assert new.weak_succ(s, label) == ref.weak_succ(s, label)
 
 
-def random_pairs(seed, count):
+def random_pairs(seed, count, wide=False):
+    """Random systems, each against a τ-padded copy of itself or another
+    random system.  Wide pairs draw up to 12 labels, 20 states and 12 steps
+    a state, so one state's slice holds many ranks; a third of them have no
+    τ but the padding's, and half the copies lose one step instead of being
+    padded, so that traces part late."""
     rng = random.Random(seed)
-    for i in range(count):
-        a = random_lts(
+
+    def draw_wide(alphabet, tau_weight):
+        return random_lts(
             rng,
-            max_states=rng.randint(1, 7),
-            alphabet=("m1", "m2", "m3")[: rng.randint(1, 3)],
-            tau_weight=rng.choice((0.2, 0.34, 0.6)),
+            max_states=rng.randint(1, 20),
+            alphabet=alphabet,
+            tau_weight=tau_weight,
+            max_out=rng.randint(1, 12),
         )
-        b = tau_padded(rng, a) if i % 3 == 0 else random_lts(rng, max_states=7)
+
+    for i in range(count):
+        if wide:
+            alphabet = tuple(f"m{j}" for j in range(1, rng.randint(1, 12) + 1))
+            tau_weight = rng.choice((0, 0.1, 0.34))
+            a = draw_wide(alphabet, tau_weight)
+            if i % 3 == 1:
+                b = draw_wide(alphabet, tau_weight)
+            elif i % 2 and len(a.transitions):
+                steps = list(a.transitions)
+                del steps[rng.randrange(len(steps))]
+                b = Lts.make(a.n_states, a.initial, steps)
+            else:
+                b = tau_padded(rng, a)
+        else:
+            a = random_lts(
+                rng,
+                max_states=rng.randint(1, 7),
+                alphabet=("m1", "m2", "m3")[: rng.randint(1, 3)],
+                tau_weight=rng.choice((0.2, 0.34, 0.6)),
+            )
+            b = tau_padded(rng, a) if i % 3 == 0 else random_lts(rng, max_states=7)
         yield a, b, ({B} if i % 5 == 0 else frozenset())
 
 
-@pytest.mark.parametrize("seed", [101, 202])
-def test_results_equal_the_reference_on_random_pairs(seed):
+@pytest.mark.parametrize(("seed", "wide"), [(101, False), (202, False), (404, True)])
+def test_results_equal_the_reference_on_random_pairs(seed, wide):
     false_verdicts = 0
-    for a, b, hidden in random_pairs(seed, 1000):
+    for a, b, hidden in random_pairs(seed, 1000, wide):
         assert_same_results(a, b, hidden)
         assert_same_results(b, a, hidden)
         false_verdicts += not check_bbc(a, b, hidden).verdict
     assert 200 <= false_verdicts <= 900  # both verdicts well represented
 
 
-def test_weak_sets_equal_the_reference_on_random_systems():
-    for a, b, hidden in random_pairs(303, 400):
+@pytest.mark.parametrize(("seed", "wide"), [(303, False), (606, True)])
+def test_weak_sets_equal_the_reference_on_random_systems(seed, wide):
+    for a, b, hidden in random_pairs(seed, 400, wide):
         assert_same_weak_sets(a)
         assert_same_weak_sets(hide(b, hidden))
-
-
-def test_source_bitsets_equal_the_sum_of_their_bits():
-    """`_bitset` is `sum(1 << x ...)` in linear time: on sets with and
-    without state 0, the empty set, and sizes off a multiple of 8."""
-    rng = random.Random(59)
-    for n in (1, 7, 8, 9, 15, 17, 64, 65, 1001):
-        sets = [[], [0], [n - 1], range(n)]
-        sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(10)]
-        for members in sets:
-            assert _bitset(members, n) == sum(1 << x for x in members)
-    for _ in range(100):
-        lts = random_lts(rng, max_states=40)
-        sources = {}
-        for x, label, _ in lts.transitions:
-            sources.setdefault(label, set()).add(x)
-        w = saturate(lts)
-        assert dict(zip(w.labels, w._src)) == {
-            l: sum(1 << x for x in xs) for l, xs in sources.items()
-        }
 
 
 def test_results_and_weak_sets_equal_the_reference_on_fixtures():
@@ -324,6 +334,16 @@ def test_a_conforming_tbc_search_keeps_no_weak_step_per_transition():
         if not was_tracing:
             tracemalloc.stop()
     assert peak < 2**20, f"{peak} bytes at the peak of the search"
+
+
+def test_a_wide_star_searches_in_time_linear_in_its_steps():
+    """3 000 visible labels out of one state: the search sweeps each product
+    state's steps once instead of testing every label at every one of the
+    3 001 product states."""
+    star = Lts.make(3001, 0, [(0, Comm("A", "B", f"m{i}"), i + 1) for i in range(3000)])
+    start = time.perf_counter()
+    assert check_tbc(star, star).verdict
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
