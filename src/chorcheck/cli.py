@@ -270,8 +270,9 @@ def cmd_check(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first `main` call and kept."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and each command's by name, built on the first
+    `main` call and kept; `main` parses a command's argv with its own alone."""
     parser = argparse.ArgumentParser(
         prog="chorcheck",
         description="Compose BPMN processes and check collaborations against choreographies.",
@@ -307,13 +308,21 @@ def _parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("auto", "text", "bpmn", "aut"), default="auto")
     _add_bounds_flags(p_check)
     p_check.set_defaults(func=cmd_check)
-    return parser
+    return parser, sub.choices  # each command's parser by name
 
 
 def main(argv=None) -> int:
     """Run one command; the only place an outcome becomes an exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:  # reported as the top-level parser reports them
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

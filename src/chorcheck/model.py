@@ -213,7 +213,7 @@ class Send(Value):
     receiver: Optional[str] = None
 
     def edge(self) -> MessageEdge:
-        return _require_edge(self)
+        return MessageEdge(*message_key(self))
 
 
 class Receive(Value):
@@ -226,7 +226,7 @@ class Receive(Value):
     receiver: Optional[str] = None
 
     def edge(self) -> MessageEdge:
-        return _require_edge(self)
+        return MessageEdge(*message_key(self))
 
 
 # A task and an intermediate event that send (or receive) share one
@@ -259,7 +259,7 @@ class Branch(Value):
     receiver: Optional[str] = None
 
     def edge(self) -> MessageEdge:
-        return _require_edge(self)
+        return MessageEdge(*message_key(self))
 
 
 class EventBased(Value):
@@ -269,10 +269,11 @@ class EventBased(Value):
     branches: tuple[Branch, ...]
 
 
-def _require_edge(node) -> MessageEdge:
+def message_key(node) -> tuple:
+    """The `(sender, receiver, message)` of a part's resolved message edge."""
     if node.sender is None or node.receiver is None:
         raise ValueError(f"node {node!r} has no resolved message edge")
-    return MessageEdge(node.sender, node.receiver, node.message)
+    return (node.sender, node.receiver, node.message)
 
 
 ChoreoNode = Union[
@@ -387,13 +388,18 @@ def message_parts(node) -> tuple:
     return ()
 
 
+def message_keys(model, received: bool) -> set[tuple]:
+    """The `(sender, receiver, message)` of `model`'s message parts; with
+    `received`, of its receptions only, whose edges must be resolved."""
+    parts = [part for node in model.nodes for part in message_parts(node)]
+    if not received:
+        return {(part.sender, part.receiver, part.message) for part in parts}
+    return {message_key(part) for part in parts if not isinstance(part, Send)}
+
+
 def labels_choreo(ch: Choreography) -> frozenset[Comm]:
     """All communication labels a choreography can ever produce."""
-    return frozenset(
-        Comm(part.sender, part.receiver, part.message)
-        for node in ch.nodes
-        for part in message_parts(node)
-    )
+    return frozenset([Comm(*key) for key in message_keys(ch, False)])
 
 
 def labels_collab(c: Collaboration) -> frozenset[Comm]:
@@ -402,7 +408,7 @@ def labels_collab(c: Collaboration) -> frozenset[Comm]:
     Only receive-side elements contribute: sends are internal moves, so a
     send-side label could never appear on any transition.
     """
-    return frozenset(edge.label() for edge in in_edges(c))
+    return frozenset([Comm(*key) for key in message_keys(c, True)])
 
 
 def out_edges(c: Collaboration) -> Counter:

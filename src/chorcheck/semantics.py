@@ -1,16 +1,19 @@
 """Token-game execution of choreographies and collaborations, and LTS generation.
 
-Both kinds of diagram share one step relation.  A model is compiled into a
-net: numbered places (sequence edges, message edges, and one place per start
-event holding a single token until that event fires) and one rule per way a
-node can fire, with the places it consumes from and produces into.  Gateways
-and events move tokens silently; a choreography task emits its communication
-label in one atomic step, while in a collaboration only message *receptions*
-are visible: a send silently deposits a message token in the receiver's
-queue, and the matching receive (or event-based gateway branch) later
-consumes it under the visible label.
+Both kinds of diagram share one step relation.  A model is lowered, in one
+pass dispatching on each node's class, into a net: numbered places (sequence
+edges, message edges, and one place per start event holding a single token
+until that event fires) and one rule per way a node can fire, with the
+places it consumes from and produces into; labels and message places are
+keyed by their (sender, receiver, message) tuples.  Gateways and events move
+tokens silently; a choreography task emits its communication label in one
+atomic step, while in a collaboration only message *receptions* are visible:
+a send silently deposits a message token in the receiver's queue, and the
+matching receive (or event-based gateway branch) later consumes it under the
+visible label.
 
-`generate_lts` explores the reachable markings breadth-first into a finite
+`generate_lts` derives all it explores from that lowering in one sweep over
+the rules, then explores the reachable markings breadth-first into a finite
 labelled transition system with deterministic state numbering, failing
 loudly (BoundExceeded) instead of truncating when a model is unbounded.
 Labels it is given as `hidden` are explored as τ.  With `reduce=True` it
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import functools
 
-from itertools import accumulate, chain, compress, repeat
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, compress, count, repeat
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -43,19 +47,23 @@ from .model import (
     EndEvent,
     EventBased,
     InputError,
+    InterRcv,
+    InterSnd,
     Label,
     MessageEdge,
     Receive,
     Send,
     StartEvent,
     Task,
+    TaskRcv,
+    TaskSnd,
     Tau,
     Value,
     XorJoin,
     XorSplit,
     label_key,
-    labels_choreo,
-    labels_collab,
+    message_key,
+    message_keys,
 )
 
 
@@ -259,72 +267,81 @@ class Net(Value):
     rules: tuple[Rule, ...]
 
 
-def _node_rules(i: int, node, collab: bool) -> list[tuple[tuple, tuple, Label]]:
-    """(pre, post, label) in place names, one per way `node` can fire."""
-    if isinstance(node, StartEvent):
-        return [((i,), (node.out,), TAU)]
-    if isinstance(node, EndEvent):
-        return [((node.inp,), (node.completed,), TAU)]
-    if isinstance(node, AndSplit):
-        return [((node.inp,), node.outs, TAU)]
-    if isinstance(node, AndJoin):
-        if len(set(node.ins)) < len(node.ins):
-            raise ValueError(f"node {node!r} joins an edge with itself")
-        return [(node.ins, (node.out,), TAU)]
-    if isinstance(node, XorSplit):
-        return [((node.inp,), (out,), TAU) for out in node.outs]
-    if isinstance(node, XorJoin):
-        return [((inp,), (node.out,), TAU) for inp in node.ins]
-    if not collab:
-        if isinstance(node, ChoreoTask):
-            label = Comm(node.sender, node.receiver, node.message)
-            return [((node.inp,), (node.out,), label)]
-        if isinstance(node, EventBased):
-            return [
-                ((node.inp,), (b.out,), Comm(b.sender, b.receiver, b.message))
-                for b in node.branches
-            ]
-        raise TypeError(f"node {node!r} is not a choreography element")
-    if isinstance(node, Task):
-        return [((node.inp,), (node.out,), TAU)]
-    if isinstance(node, Send):
-        return [((node.inp,), (node.out, node.edge()), TAU)]
-    if isinstance(node, Receive):
-        edge = node.edge()
-        return [((node.inp, edge), (node.out,), edge.label())]
-    if isinstance(node, EventBased):
-        edges = [b.edge() for b in node.branches]
-        return [((node.inp, e), (b.out,), e.label()) for b, e in zip(node.branches, edges)]
-    raise TypeError(f"node {node!r} is not a collaboration element")
+def _join(node: AndJoin) -> list:
+    if len(set(node.ins)) < len(node.ins):
+        raise ValueError(f"node {node!r} joins an edge with itself")
+    return [(node.ins, (node.out,), None)]
 
 
-def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
-    """Lower a choreography or collaboration into its net; the rules whose
-    label is in `hidden`, a set of `Comm` as for `hide`, are labelled τ."""
+# By node class, (pre, post, label) in place names for each way a node fires; a
+# label is a `Comm`'s (sender, receiver, message) key or None for τ (see `_lower`).
+_COMMON = {
+    StartEvent: lambda i, n: [((i,), (n.out,), None)],
+    EndEvent: lambda i, n: [((n.inp,), (n.completed,), None)],
+    AndSplit: lambda i, n: [((n.inp,), n.outs, None)],
+    AndJoin: lambda i, n: _join(n),
+    XorSplit: lambda i, n: [((n.inp,), (out,), None) for out in n.outs],
+    XorJoin: lambda i, n: [((inp,), (n.out,), None) for inp in n.ins],
+}
+_CHOREOGRAPHY = _COMMON | {
+    ChoreoTask: lambda i, n: [((n.inp,), (n.out,), (n.sender, n.receiver, n.message))],
+    EventBased: lambda i, n: [
+        ((n.inp,), (b.out,), (b.sender, b.receiver, b.message)) for b in n.branches
+    ],
+}
+_COLLABORATION = _COMMON | {
+    Task: lambda i, n: [((n.inp,), (n.out,), None)],
+    Send: lambda i, n: [((n.inp,), (n.out, message_key(n)), None)],
+    Receive: lambda i, n: [((n.inp, k), (n.out,), k) for k in [message_key(n)]],
+    EventBased: lambda i, n: [
+        ((n.inp, k), (b.out,), k) for b in n.branches for k in [message_key(b)]
+    ],
+}
+# The task and event notations of a send or receive fire as it does.
+_COLLABORATION |= {TaskSnd: _COLLABORATION[Send], InterSnd: _COLLABORATION[Send],
+                   TaskRcv: _COLLABORATION[Receive], InterRcv: _COLLABORATION[Receive]}
+
+
+def _lower(model, hidden: Iterable[Comm]) -> tuple[list, list[tuple]]:
+    """The place names of a model's net in number order, and its rules as
+    `(node, pre, post, label)` over place numbers: one `Comm` per label key,
+    τ for those of `hidden`, so no label or edge is hashed by Python code."""
     if not isinstance(model, (Choreography, Collaboration)):
         raise TypeError(f"cannot execute {type(model).__name__}")
-    collab = isinstance(model, Collaboration)
-    hidden = _hideable(hidden)
-    number: dict = {}
+    kind = "collaboration" if isinstance(model, Collaboration) else "choreography"
+    table = _COLLABORATION if kind == "collaboration" else _CHOREOGRAPHY
+    labels = {None: TAU}
+    labels.update([((c.sender, c.receiver, c.message), TAU) for c in _hideable(hidden)])
+    number = defaultdict(count().__next__)  # a new name gets the next number
+    place = number.__getitem__
     rules = []
     # Per-call tuples here and elsewhere are built from lists: a generator
     # gives `tuple` no length hint, so the tuple is resized and later freed
     # onto the free list of another size, which only a full collection
-    # empties (`test_repeated_checks_leave_no_memory_behind`).  Plain loops
-    # number the places: before Python 3.12 a comprehension is a function
-    # call, here one per rule end.
+    # empties (`test_repeated_checks_leave_no_memory_behind`).  `(*it,)`
+    # builds the list, then a tuple of its exact size.
     for i, node in enumerate(model.nodes):
-        for pre, post, label in _node_rules(i, node, collab):
-            ends = []
-            for names in pre, post:
-                places = []
-                for name in names:
-                    places.append(number.setdefault(name, len(number)))
-                ends.append(tuple(places))
-            rules.append(Rule(i, *ends, TAU if hidden and label in hidden else label))
-    names = tuple(number)
+        fire = table.get(node.__class__)
+        if fire is None:  # any other subclass fires as its nearest base in `table`
+            fire = next((table[c] for c in type(node).__mro__ if c in table), None)
+        if fire is None:
+            raise TypeError(f"node {node!r} is not a {kind} element")
+        for pre, post, key in fire(i, node):
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = Comm(*key)
+            rules.append((i, (*map(place, pre),), (*map(place, post),), label))
+    return list(number), rules
+
+
+def compile_net(model, hidden: Iterable[Comm] = ()) -> Net:
+    """Lower a choreography or collaboration into its net; the rules whose
+    label is in `hidden`, a set of `Comm` as for `hide`, are labelled τ.
+    `generate_lts` explores the same lowering, `_lower`."""
+    places, rules = _lower(model, hidden)
+    names = tuple([MessageEdge(*n) if isinstance(n, tuple) else n for n in places])
     initial = tuple([int(isinstance(name, int)) for name in names])
-    return Net(names, initial, tuple(rules))
+    return Net(names, initial, tuple([Rule(*rule) for rule in rules]))
 
 
 def confluent_rules(net: Net) -> tuple[int, ...]:
@@ -339,40 +356,7 @@ def confluent_rules(net: Net) -> tuple[int, ...]:
     `task`) could fire for ever, so they are left to exploration as ordinary
     silent steps, and the confluent rules always stop firing.
     """
-    return tuple(sorted(_confluent_sinks_first(net)))
-
-
-def _confluent_sinks_first(net: Net) -> list[int]:
-    """`confluent_rules`, each after the confluent rules that consume what it
-    produces."""
-    rules = net.rules
-    owner = [-1] * len(net.places)  # a place's one consumer; -2 if it has more
-    for i, rule in enumerate(rules):
-        for p in rule.pre:
-            owner[p] = i if owner[p] == -1 else -2
-    silent = []
-    for i, (_, pre, _, label) in enumerate(rules):
-        if isinstance(label, Tau):
-            for p in pre:
-                if owner[p] != i:
-                    break
-            else:
-                silent.append(i)
-    consumer = {}
-    for j, i in enumerate(silent):
-        for p in rules[i].pre:
-            consumer[p] = j
-    graph = []
-    for i in silent:
-        graph.append([consumer[p] for p in rules[i].post if p in consumer])
-    comp, n_comp = _sccs(graph)
-    size = [0] * n_comp
-    for c in comp:
-        size[c] += 1
-    return [
-        silent[j] for j in sorted(range(len(silent)), key=comp.__getitem__)
-        if size[comp[j]] == 1 and j not in graph[j]
-    ]
+    return tuple(sorted(_Setup(net.places, net.rules, DEFAULT_BOUNDS, True).confluent))
 
 
 def _sccs(adj: list[list[int]]) -> tuple[list[int], int]:
@@ -436,17 +420,18 @@ class _Packing:
 
     Place p is the field of `width` bits at offset `width * p`; `width` is
     the least of 8, 16, 32 and 64 whose field holds the largest cap + 2
-    below its top (guard) bit.  `ones` holds 1 in every field and `guards`
-    every guard bit; `bias` holds `half - 1 - cap` in each field, `half`
-    being the guard bit's value, so a field of `m + bias` has its guard bit
-    set exactly when `m` holds more than the cap of its place.
+    below its top (guard) bit; a message place (its `MessageEdge` or key)
+    has the message bound as its cap.  `ones` holds 1 in every field and
+    `guards` every guard bit; `bias` holds `half - 1 - cap` in each field,
+    `half` being the guard bit's value, so a field of `m + bias` has its
+    guard bit set exactly when `m` holds more than the cap of its place.
     """
 
     def __init__(self, places, bounds: ExplorationBounds):
         tokens = min(bounds.max_tokens_per_edge, _MAX_CAP)
         messages = min(bounds.max_messages_per_edge, _MAX_CAP)
         self.caps = caps = [
-            messages if isinstance(name, MessageEdge) else tokens for name in places
+            messages if isinstance(name, (MessageEdge, tuple)) else tokens for name in places
         ]
         top = max(caps, default=0) + 2
         size = 1
@@ -475,28 +460,26 @@ class _Packing:
         shifts = range(0, width * n, width)
         return tuple([tuple([m >> s & mask for s in shifts]) for m in markings])
 
-    def masks(self, rules: tuple[Rule, ...]) -> list[tuple[int, int, int]]:
-        """`(gpre, delta, gpost)` for each rule: the guard bits of its
-        pre-places, the change a firing makes, and the guard bits of its
-        post-places."""
-        width = self.width
-        unit = [1 << shift for shift in range(0, width * len(self.caps), width)]
-        masks = []
-        for rule in rules:
-            opre = opost = 0
-            for p in rule.pre:
-                opre += unit[p]
-            for p in rule.post:
-                opost += unit[p]
-            masks.append((opre << width - 1, opost - opre, opost << width - 1))
-        return masks
-
     def overflow(self, m: int, post) -> _Overflow:
         """The first place of `post` holding more than its cap in `m`."""
         width = self.width
         mask = (1 << width) - 1
         counts = [(p, m >> width * p & mask) for p in post]
         return next(_Overflow(p, n) for p, n in counts if n > self.caps[p])
+
+    def settle(self, m: int, fed: tuple) -> int:
+        """The representative of packed marking `m`, in which only the
+        confluent rules in `fed` may be enabled (see `_Setup`)."""
+        guards, ones, bias = self.guards, self.ones, self.bias
+        todo = list(fed)
+        while todo:
+            gpre, delta, gpost, post, more = todo.pop()
+            while ((m | guards) - ones) & gpre == gpre:  # fire while enabled
+                m += delta
+                if (m + bias) & gpost:
+                    raise self.overflow(m, post)
+                todo += more
+        return m
 
 
 class _Markings(_Decoded):
@@ -514,52 +497,81 @@ class _Markings(_Decoded):
         return self._packing.unpack(self._packed)
 
 
-class _Confluence:
-    """Takes packed markings to their representatives (see `generate_lts`).
+class _Setup:
+    """What exploring a net needs, from one sweep over its rules.
 
-    `rules` holds each confluent rule with its masks (see `_Packing.masks`),
-    sinks first (see `_confluent_sinks_first`).  A place has at most one
-    confluent consumer, so `feeds(post)` names the rules a firing into
-    `post` can enable, and `settle` re-tests only those.  Every marking
-    passed through is checked against the caps of `packing`.
-    """
+    Each rule gets its masks: `gpre` and `gpost`, the guard bits of its pre-
+    and post-places, and `delta`, the change a firing makes.  With `reduce`,
+    `confluent` lists the confluent rules sinks first, so the settle record
+    of each, `(gpre, delta, gpost, post, fed)`, is built after those in
+    `fed`: the records of the confluent consumers of `post`, all a firing into
+    `post` can enable.  `fed` holds those the initial marking may enable, and
+    `rules` `(gpre, (delta, gpost, post, code, fed))` each other rule's (a
+    disabled one unpacks `gpre` alone), `code` being `rank << bits` of its
+    label in `labels`."""
 
-    def __init__(self, rules: list[tuple[Rule, tuple[int, int, int]]], packing: _Packing):
-        self.packing = packing
-        # (gpre, delta, gpost, post, fed) per consumed place, with `fed` the
-        # rules that consume from `post`: built sinks first, so that these
-        # exist already.
-        self._consumer = consumer = {}
-        for rule, masks in rules:
-            built = masks + (rule.post, self.feeds(rule.post))
-            for p in rule.pre:
+    def __init__(self, places, rules, bounds: ExplorationBounds, reduce: bool):
+        self.packing = packing = _Packing(places, bounds)
+        width, top = packing.width, packing.width - 1
+        masks, silent, visible = [], [], {}
+        seen = shared = 0  # the guard bits of places some rule consumes; two or more
+        for i, (_, pre, post, label) in enumerate(rules):
+            gpre = gpost = 0
+            for p in pre:
+                gpre += 1 << width * p + top
+            for p in post:
+                gpost += 1 << width * p + top
+            shared |= seen & gpre
+            seen |= gpre
+            masks.append((gpre, (gpost - gpre) >> top, gpost))
+            if isinstance(label, Tau):
+                silent.append(i)
+            else:
+                visible[id(label)] = label
+        # The confluent rules, sinks first: silent sole consumers (off `shared`) on
+        # no cycle.  In reverse order, one feeding no candidate still pending is on
+        # none; only those held back (5 of 233 in the corpus) go through `_sccs`.
+        held, order = [], []
+        if reduce:
+            left = [i for i in silent if not masks[i][0] & shared]
+            pending = sum([masks[i][0] for i in left])  # their pre-places' guard bits
+            for i in reversed(left):
+                gpre, _, gpost = masks[i]
+                if gpost & pending:
+                    held.append(i)
+                else:
+                    order.append(i)
+                    pending -= gpre
+        if held:
+            consumer = {p: j for j, i in enumerate(held) for p in rules[i][1]}
+            graph = [[consumer[p] for p in rules[i][2] if p in consumer] for i in held]
+            comp, _ = _sccs(graph)
+            size = Counter(comp)
+            order += [
+                held[j] for j in sorted(range(len(held)), key=comp.__getitem__)
+                if size[comp[j]] == 1 and j not in graph[j]
+            ]
+        self.confluent = order
+        consumer = {}  # place -> the settle record of its confluent consumer
+        for i in order:
+            _, pre, post, _ = rules[i]
+            built = (*masks[i], post, (*filter(None, map(consumer.get, post)),))
+            for p in pre:
                 consumer[p] = built
-
-    def feeds(self, post) -> tuple:
-        """The confluent rules that consume from `post`."""
-        consumer = self._consumer
-        fed = []
-        for p in post:
-            if p in consumer:
-                fed.append(consumer[p])
-        return tuple(fed)
-
-    def settle(self, m: int, fed: tuple) -> int:
-        """The representative of packed marking `m`.
-
-        Of the confluent rules, only those in `fed` may be enabled in `m`.
-        """
-        packing = self.packing
-        guards, ones, bias = packing.guards, packing.ones, packing.bias
-        todo = list(fed)
-        while todo:
-            gpre, delta, gpost, post, more = todo.pop()
-            while ((m | guards) - ones) & gpre == gpre:  # fire while enabled
-                m += delta
-                if (m + bias) & gpost:
-                    raise packing.overflow(m, post)
-                todo += more
-        return m
+        self.initial = packing.pack([isinstance(name, int) for name in places])
+        self.fed = (*filter(None, map(consumer.get, range(len(places)))),)
+        self.labels = labels = sorted(visible.values(), key=label_key)
+        if len(order) < len(silent):
+            labels.insert(0, TAU)  # rank 0, the code of every explored silent rule
+        bits = bounds.max_states.bit_length()
+        code = {id(label): r << bits for r, label in enumerate(labels)}
+        chosen = set(order)
+        self.rules = explored = []
+        for i, (_, _, post, label) in enumerate(rules):
+            if i not in chosen:
+                gpre, delta, gpost = masks[i]
+                fed = (*filter(None, map(consumer.get, post)),)
+                explored.append((gpre, (delta, gpost, post, code.get(id(label), 0), fed)))
 
 
 def generate_lts(
@@ -575,7 +587,9 @@ def generate_lts(
     the same model and bounds produce identical state numbering and
     transition lists.  The labels in `hidden` are explored as τ (see
     `compile_net`), so the result equals
-    `hide(generate_lts(model, bounds, reduce=reduce), hidden)`.
+    `hide(generate_lts(model, bounds, reduce=reduce), hidden)`.  The model is
+    lowered once (`_lower`, as for `compile_net`), and one sweep over its
+    rules (`_Setup`) derives all that the breadth-first loop reads.
 
     While exploring, a marking is one `int` (SWAR, Lamport 1975; a
     fixed-width state vector as in LTSmin): place p is a field of 8, 16, 32
@@ -611,32 +625,17 @@ def generate_lts(
     is a reachable marking.  The bounds then apply to the reduced
     exploration (see `BoundExceeded`).
     """
-    net = compile_net(model, hidden)
-    packing = _Packing(net.places, bounds)
-    masks = packing.masks(net.rules)
-    order = _confluent_sinks_first(net) if reduce else []
-    confluence = _Confluence([(net.rules[i], masks[i]) for i in order], packing)
-    chosen = set(order)
-    # The explored rules' labels are ranked by object first: hashing a
-    # label calls Python code.
-    by_id = {id(rule.label): rule.label for i, rule in enumerate(net.rules) if i not in chosen}
-    labels = sorted(set(by_id.values()), key=label_key)
-    rank = {label: r for r, label in enumerate(labels)}
+    places, lowered = _lower(model, hidden)
+    setup = _Setup(places, lowered, bounds, reduce)
+    packing, labels, rules = setup.packing, setup.labels, setup.rules
     max_states = bounds.max_states
     bits = max_states.bit_length()
-    code_of_id = {i: rank[label] << bits for i, label in by_id.items()}
-    rules = []  # (gpre, rest): a disabled rule unpacks its mask alone
-    for i, (_, _, post, label) in enumerate(net.rules):
-        if i not in chosen:
-            gpre, delta, gpost = masks[i]
-            rest = (delta, gpost, post, code_of_id[id(label)], confluence.feeds(post))
-            rules.append((gpre, rest))
     # Two steps of a state repeat only when two rules with one label reach
     # one marking: by one change, or, when reducing, through `settle`.
     # Otherwise a plain sort is enough, and on the benchmark's full fan-in
     # k=3 exploration a set per state would cost a fifth more.
     repeats = reduce or len({(rest[3], rest[0]) for _, rest in rules}) < len(rules)
-    settle = confluence.settle
+    settle = packing.settle
     guards, ones, bias = packing.guards, packing.ones, packing.bias
 
     states = []
@@ -644,7 +643,7 @@ def generate_lts(
     codes, offsets = [], [0]
     src = -1  # nothing expanded until the initial state exists
     try:
-        initial = settle(packing.pack(net.initial), confluence.feeds(range(len(net.places))))
+        initial = settle(setup.initial, setup.fed)
         states.append(initial)
         index[initial] = 0
         for src, marking in enumerate(states):  # `states` grows as it goes
@@ -676,13 +675,14 @@ def generate_lts(
             codes += steps
             offsets.append(len(codes))
     except _Overflow as err:
-        raise _overflow(net.places[err.place], err.count, len(states), src) from None
+        raise _overflow(places[err.place], err.count, len(states), src) from None
     columns = _Columns.from_codes(labels, offsets, codes, bits)
     return Lts(len(states), 0, columns, _Markings(states, packing))
 
 
 def _overflow(place, n: int, reached: int, src: int) -> BoundExceeded:
     frontier = reached - src - 1
+    place = MessageEdge(*place) if isinstance(place, tuple) else place
     if isinstance(place, MessageEdge):
         return BoundExceeded(
             "messages", f"message edge {place} would hold {n} messages", reached, frontier
@@ -732,7 +732,12 @@ def hiding_set(choreo, collab) -> frozenset[Comm]:
 
     A model, on either side, names every label of its nodes, reachable or
     not; an `Lts`, such as one read from `.aut`, only those on its transitions.
+    Labels are compared by their `message_keys`, as `_lower` keys them; only
+    the hidden are built.
     """
-    spoken = choreo.labels() if isinstance(choreo, Lts) else labels_choreo(choreo)
-    exchanged = collab.labels() if isinstance(collab, Lts) else labels_collab(collab)
-    return exchanged - spoken
+    spoken, heard = [
+        {(c.sender, c.receiver, c.message) for c in side.labels()}
+        if isinstance(side, Lts) else message_keys(side, received)
+        for side, received in [(choreo, False), (collab, True)]
+    ]
+    return frozenset([Comm(*key) for key in heard - spoken])

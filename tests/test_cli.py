@@ -566,6 +566,52 @@ def test_usage_error_after_a_successful_call(capsys, columns):
     assert code == 1 and "invalid choice: 'neither'" in err
 
 
+def top_level(argv, capsys):
+    """Exit code, stdout and stderr of the top-level parser alone on `argv`,
+    for argvs it refuses or answers with help."""
+    with pytest.raises(SystemExit) as exc:
+        cli._parser()[0].parse_args(argv)
+    captured = capsys.readouterr()
+    return 0 if exc.value.code in (0, None) else 1, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["frobnicate"], ["check"], ["check", "a", "b", "extra"],
+    ["check", "a", "--relation", "x"], ["check", "--help"], ["lts", "--help"],
+], ids=" ".join)
+def test_commands_parse_as_the_top_level_parser_does(argv, capsys, columns):
+    """`main` parses an argv that starts with a command with that command's
+    parser alone; help, usage, messages and exit codes stay the top-level
+    parser's, an argument left over included."""
+    expected = top_level(argv, capsys)
+    assert in_process(argv, capsys) == expected
+    pinned = {
+        ("check",): "chorcheck check: error: the following arguments are required: choreography",
+        ("check", "a", "b", "extra"): "chorcheck: error: unrecognized arguments: extra",
+    }
+    if tuple(argv) in pinned:
+        assert expected[2].splitlines()[-1] == pinned[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "a", "b"], ["check", "a", "--processes", "p,q", "--names", "P,Q", "--report", "lines"],
+    ["lts", "m", "--kind", "collaboration", "-o", "out.aut", "--max-states", "9"],
+    ["compose", "p", "q", "--names", "P,Q"],
+], ids=" ".join)
+def test_commands_parse_to_the_top_level_parsers_namespace(argv):
+    """`main` hands a command the `Namespace` the top-level parser gives on
+    its argv, `command` included."""
+    parser, commands = cli._parser()
+    command, seen = commands[argv[0]], []
+    func = command.get_default("func")
+    command.set_defaults(func=seen.append)
+    try:
+        main(argv)
+        assert seen == [parser.parse_args(argv)]
+    finally:
+        command.set_defaults(func=func)
+
+
 def test_relation_choice_does_not_stick(capsys):
     tbc = check_args("acf", "--relation", "tbc", "--report", "lines")
     both = check_args("acf", "--report", "lines")

@@ -6,6 +6,8 @@ the outcome of `oracle_explore.generate_lts`, which keeps markings as
 tuples: the same `Lts` and `Lts.states`, or a `BoundExceeded` with the same
 text, kind and counters.  The bounds include caps that need fields of 2, 4
 and 8 bytes, and the tight bounds under which every kind of bound fails.
+The oracle lowers each model with its own copy of the earlier lowering, so
+`compile_net` and `confluent_rules` are compared with it as well.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 
 import oracle_explore
 from chorcheck import BoundExceeded, ExplorationBounds, compose, generate_lts, parse_collaboration
-from chorcheck.semantics import DEFAULT_BOUNDS, _Packing, compile_net
+from chorcheck.semantics import DEFAULT_BOUNDS, _Packing, compile_net, confluent_rules
 from generators import fanin, matched_tuple_pair, xor_tuple_pair
 from test_net_semantics import FIXTURE_MODELS, FLOODING, TIGHT_BOUNDS
 from test_reduction import looping_pools, random_check_cases
@@ -103,6 +105,36 @@ def test_composed_pairs_under_wide_caps():
         first, second, names = xor_tuple_pair(rng, max_pools=3)
         for bounds in WIDE_BOUNDS[:3]:
             assert_same(compose(first, names), bounds)
+
+
+def lowering_cases():
+    """(model, hidden labels, explored under tight bounds?) for every fixture,
+    fan-in k <= 6, and the XOR and matched families at fixed seeds, with and
+    without a hidden label."""
+    for _, model in FIXTURE_MODELS:
+        yield model, frozenset(), False
+    for k in range(1, 7):
+        for side in fanin(k):
+            yield side, frozenset(), False
+    for pair, count in [(xor_tuple_pair, 10), (matched_tuple_pair, 25)]:
+        for a, _, hidden in random_check_cases(11, count, pair, max_pools=3):
+            yield a, hidden, True
+
+
+def test_lowering_matches_the_earlier_lowering():
+    """The one lowering gives the earlier lowering's `Net` (places, initial
+    marking, rules) and confluent rules; under tight bounds, the random pairs
+    also explore to the oracle's outcome, `BoundExceeded` text included."""
+    hidden_seen = 0
+    for model, hidden, tight in lowering_cases():
+        net = compile_net(model, hidden)
+        expected = oracle_explore.compile_net(model, hidden)
+        assert net == expected
+        assert confluent_rules(net) == tuple(sorted(oracle_explore.confluent_sinks_first(expected)))
+        hidden_seen += bool(hidden)
+        for bounds in TIGHT_BOUNDS if tight else ():
+            assert_same(model, bounds, hidden)
+    assert hidden_seen > 10
 
 
 def hash_spread(model, bounds=DEFAULT_BOUNDS):

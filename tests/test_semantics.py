@@ -8,6 +8,7 @@ from chorcheck import (
     AndSplit,
     BoundExceeded,
     Choreography,
+    Collaboration,
     Comm,
     EndEvent,
     ExplorationBounds,
@@ -18,16 +19,20 @@ from chorcheck import (
     InterRcv,
     EventBased,
     MessageEdge,
+    Pool,
     compose,
     export_aut,
     generate_lts,
     hide,
     hiding_set,
+    in_edges,
     labels_choreo,
     labels_collab,
+    out_edges,
     parse_choreography,
     parse_collaboration,
 )
+from chorcheck.model import message_parts
 from chorcheck.semantics import compile_net
 from conftest import fixture_text
 from generators import matched_process_tuple
@@ -38,6 +43,7 @@ from oracle_semantics import (
     collab_steps,
     initial_config,
 )
+from test_net_semantics import FIXTURE_MODELS
 
 
 def starts_of(model):
@@ -333,6 +339,31 @@ def test_hiding_set_of_ack_composition(booking_processes, booking_choreography):
     assert hiding_set(booking_choreography, collab) == {Comm("bs", "c", "ack")}
 
 
+def test_hiding_and_exploring_hash_each_label_and_edge_at_most_once(
+    booking_processes, booking_choreography, monkeypatch
+):
+    """Labels and message edges are keyed by their (sender, receiver,
+    message) tuples while hiding and lowering: the ack composition hides
+    `bs->c:ack`, and hiding and both reduced explorations hash each label
+    and message edge of the two models, both through Python code, at most
+    once, not once per rule."""
+    collab = compose(
+        (booking_processes["a"], booking_processes["c"], booking_processes["e"]),
+        ("bk", "c", "bs"),
+    )
+    distinct = labels_choreo(booking_choreography) | labels_collab(collab)
+    distinct |= set(in_edges(collab)) | set(out_edges(collab))
+    hashed = []
+    for cls in (Comm, MessageEdge):
+        monkeypatch.setattr(cls, "__hash__", lambda self, h=cls.__hash__: hashed.append(self) or h(self))
+    hidden = hiding_set(booking_choreography, collab)
+    generate_lts(booking_choreography, reduce=True)
+    generate_lts(collab, reduce=True, hidden=hidden)
+    monkeypatch.undo()
+    assert hidden == {Comm("bs", "c", "ack")}
+    assert len(hashed) <= len(distinct)
+
+
 def test_hiding_set_empty_for_matching_labels(
     booking_choreography, booking_collaboration
 ):
@@ -343,6 +374,33 @@ def test_hiding_set_of_guarded_request_response():
     ch = parse_choreography(fixture_text("request_response_choreography.txt"))
     collab = parse_collaboration(fixture_text("request_response_guarded.txt"))
     assert hiding_set(ch, collab) == {Comm("B", "A", "m")}
+
+
+def test_hiding_set_is_the_received_labels_the_choreography_lacks():
+    """On every fixture pair, models and their explored `Lts`s alike, the
+    hidden labels are those the collaboration receives and the choreography
+    does not name; a message sent but never received (`two_messages_dropped`)
+    is not hidden."""
+    choreographies = [m for _, m in FIXTURE_MODELS if isinstance(m, Choreography)]
+    collaborations = [m for _, m in FIXTURE_MODELS if isinstance(m, Collaboration)]
+    explored = {}
+    for model in choreographies + collaborations:
+        try:
+            explored[id(model)] = generate_lts(model, reduce=True)
+        except BoundExceeded:  # `looping_andsplit.txt`: only the model is compared
+            pass
+    for ch in choreographies:
+        # Written out here, not through `message_keys`, which all three share.
+        named = {Comm(p.sender, p.receiver, p.message) for n in ch.nodes for p in message_parts(n)}
+        assert labels_choreo(ch) == named
+        for col in collaborations:
+            received = {edge.label() for edge in in_edges(col)}
+            assert labels_collab(col) == received
+            assert hiding_set(ch, col) == received - named
+            lts_ch, lts_col = explored.get(id(ch)), explored.get(id(col))
+            if lts_ch is not None and lts_col is not None:
+                assert hiding_set(lts_ch, lts_col) == lts_col.labels() - lts_ch.labels()
+    assert any(set(out_edges(col)) - set(in_edges(col)) for col in collaborations)
 
 
 def test_random_collaborations_explore_cleanly():
@@ -369,6 +427,35 @@ def test_processes_alone_are_not_executable(booking_processes):
         compile_net(booking_processes["a"])
     with pytest.raises(TypeError):
         initial_config(booking_processes["a"])
+
+
+def test_a_node_class_defined_elsewhere_fires_as_the_class_it_extends(booking_collaboration):
+    """Node classes are dispatched by exact class; a subclass not in the
+    library fires as its nearest base, as an `isinstance` test would take it.
+    (Defined here, not at module level: `test_values.py` lists every `Value`
+    class when it is collected.)"""
+
+    class Relayed(TaskSnd):
+        """A send task of a notation the library does not know."""
+
+    class Awaited(InterRcv):
+        """A catch event of a notation the library does not know."""
+
+    swap = {TaskSnd: Relayed, TaskRcv: Awaited}
+    pools = tuple([
+        Pool(pool.name, tuple([
+            swap[type(n)](n.inp, n.out, n.message, n.sender, n.receiver)
+            if type(n) in swap else n for n in pool.nodes
+        ]))
+        for pool in booking_collaboration.pools
+    ])
+    relayed = Collaboration(pools)
+    assert relayed != booking_collaboration
+    assert compile_net(relayed) == compile_net(booking_collaboration)
+    assert generate_lts(relayed, reduce=True) == generate_lts(booking_collaboration, reduce=True)
+    stray = Collaboration((Pool("p", (StartEvent("a"), object())),))
+    with pytest.raises(TypeError, match="is not a collaboration element"):
+        generate_lts(stray)
 
 
 def test_bounds_must_be_positive():
